@@ -1,7 +1,7 @@
 package bench
 
 import (
-	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,15 +9,25 @@ import (
 	"leime/internal/model"
 )
 
+// TestAllExperimentsRunQuick checks every experiment's section of the
+// serial quick suite (shared with TestRunAllParallelMatchesSerial, so the
+// suite runs once): each must render a table of substance.
 func TestAllExperimentsRunQuick(t *testing.T) {
-	for _, e := range All() {
+	suite := serialQuickOutput(t)
+	all := All()
+	for i, e := range all {
 		e := e
+		header := fmt.Sprintf("=== %s: %s\n", e.ID, e.Title)
+		start := strings.Index(suite, header)
+		end := len(suite)
+		if i+1 < len(all) {
+			end = strings.Index(suite, fmt.Sprintf("=== %s: ", all[i+1].ID))
+		}
 		t.Run(e.ID, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := e.Run(&buf, true); err != nil {
-				t.Fatalf("Run: %v", err)
+			if start < 0 || end < start {
+				t.Fatalf("no %q section in the serial suite output", strings.TrimSpace(header))
 			}
-			out := buf.String()
+			out := suite[start+len(header) : end]
 			if len(out) < 100 {
 				t.Errorf("suspiciously short output (%d bytes):\n%s", len(out), out)
 			}

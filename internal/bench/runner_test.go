@@ -54,14 +54,35 @@ func stripNondeterministic(out string) string {
 	return out
 }
 
+// quickSerial caches one serial run of the quick suite per test binary.
+var quickSerial struct {
+	once sync.Once
+	out  string
+	err  error
+}
+
+// serialQuickOutput returns the serial quick suite's output, running it on
+// first use. Every test that inspects the serial suite shares this one
+// pass.
+func serialQuickOutput(t *testing.T) string {
+	t.Helper()
+	quickSerial.once.Do(func() {
+		var buf bytes.Buffer
+		_, quickSerial.err = RunAll(&buf, true, 1)
+		quickSerial.out = buf.String()
+	})
+	if quickSerial.err != nil {
+		t.Fatalf("serial RunAll: %v", quickSerial.err)
+	}
+	return quickSerial.out
+}
+
 // TestRunAllParallelMatchesSerial is the determinism contract of the
 // parallel runner: for every deterministic experiment the bytes emitted at
 // -parallel N>1 equal the serial run's.
 func TestRunAllParallelMatchesSerial(t *testing.T) {
-	var serial, par bytes.Buffer
-	if _, err := RunAll(&serial, true, 1); err != nil {
-		t.Fatalf("serial RunAll: %v", err)
-	}
+	serial := serialQuickOutput(t)
+	var par bytes.Buffer
 	results, err := RunAll(&par, true, 4)
 	if err != nil {
 		t.Fatalf("parallel RunAll: %v", err)
@@ -78,9 +99,9 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 			t.Errorf("%s: non-positive wall time %v", r.ID, r.WallSeconds)
 		}
 	}
-	s, p := stripNondeterministic(serial.String()), stripNondeterministic(par.String())
-	if len(s) < 1000 || !strings.Contains(serial.String(), "=== crosscheck") {
-		t.Fatalf("suspicious serial output (%d bytes)", serial.Len())
+	s, p := stripNondeterministic(serial), stripNondeterministic(par.String())
+	if len(s) < 1000 || !strings.Contains(serial, "=== crosscheck") {
+		t.Fatalf("suspicious serial output (%d bytes)", len(serial))
 	}
 	if s != p {
 		t.Errorf("parallel output differs from serial:\nserial %d bytes, parallel %d bytes", len(s), len(p))

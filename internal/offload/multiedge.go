@@ -1,5 +1,7 @@
 package offload
 
+import "math"
+
 // Multi-edge extension of the Lyapunov controller: instead of one fixed
 // edge, the device evaluates the drift-plus-penalty objective (eq. 19)
 // against every candidate edge and routes the slot's offloaded work to the
@@ -64,4 +66,28 @@ func (c *Controller) SelectEdge(dev Device, arrivals, localQ float64, edges []Ed
 		}
 	}
 	return best, evals
+}
+
+// SwitchMargin is the migration hysteresis of edge selection: a device
+// leaves the edge it occupies only when the best candidate improves the
+// selection objective by more than this fraction of the resident's
+// objective. The non-resident share is an optimistic estimate, so a move
+// must clearly pay for itself.
+const SwitchMargin = 0.05
+
+// Hysteresis applies SwitchMargin to a SelectEdge outcome. best and evals
+// are SelectEdge's results; resident is the position among the same
+// candidates of the edge the device occupies now, or -1 when that edge is
+// not a candidate (dead, or never joined). It returns the candidate
+// position to use — the resident unless best beats it by more than the
+// margin — or -1 when there are no candidates.
+func Hysteresis(evals []EdgeEval, best, resident int) int {
+	if best < 0 || resident < 0 || best == resident {
+		return best
+	}
+	cur := evals[resident].Objective
+	if evals[best].Objective >= cur-SwitchMargin*math.Abs(cur) {
+		return resident
+	}
+	return best
 }

@@ -85,3 +85,37 @@ func TestSelectEdgeDeterministicTieBreak(t *testing.T) {
 		t.Errorf("empty candidates: best=%d evals=%v, want -1, nil", best, evals)
 	}
 }
+
+// TestHysteresis pins the one migration rule both the runtime device and
+// the event simulator apply: a candidate at or within SwitchMargin of the
+// resident's objective leaves the device where it is, a clearly better one
+// moves it, and an empty candidate set selects nothing.
+func TestHysteresis(t *testing.T) {
+	// A resident objective of -100 puts the margin at 5: moving needs an
+	// objective strictly below -105.
+	evals := func(best float64) []EdgeEval {
+		return []EdgeEval{{Objective: -100}, {Objective: best}}
+	}
+	for _, tc := range []struct {
+		name           string
+		evals          []EdgeEval
+		best, resident int
+		want           int
+	}{
+		{"improvement at the margin stays", evals(-105), 1, 0, 0},
+		{"improvement below the margin stays", evals(-102), 1, 0, 0},
+		{"improvement above the margin moves", evals(-106), 1, 0, 1},
+		{"positive objective uses its magnitude", []EdgeEval{{Objective: 100}, {Objective: 96}}, 1, 0, 0},
+		{"resident already best", evals(-90), 0, 0, 0},
+		{"no resident candidate takes the best", evals(-101), 1, -1, 1},
+		{"no candidates returns -1", nil, -1, -1, -1},
+		{"no candidates with a stale resident returns -1", nil, -1, 0, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := Hysteresis(tc.evals, tc.best, tc.resident); got != tc.want {
+				t.Errorf("Hysteresis(%v, best=%d, resident=%d) = %d, want %d",
+					tc.evals, tc.best, tc.resident, got, tc.want)
+			}
+		})
+	}
+}

@@ -38,10 +38,6 @@ type DeviceConfig struct {
 	// Fleet tunes the device's heartbeat poller over EdgeAddrs (zero value =
 	// fleet defaults, except Every which defaults to one scaled slot).
 	Fleet fleet.Config
-	// SwitchMargin is the hysteresis for edge migration: the device leaves
-	// its current edge only when the best alternative improves the selection
-	// objective by more than this fraction. Zero means the 0.05 default.
-	SwitchMargin float64
 	// PipelineAddrs, when non-empty, puts the device in pipelined mode: it
 	// installs Pipeline on the listed edge workers (stage j at address j),
 	// sends every task into the first stage, and never consults the

@@ -4,15 +4,20 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"leime/internal/cluster"
 	"leime/internal/fleet"
 	"leime/internal/netem"
 	"leime/internal/offload"
 	"leime/internal/rpc"
+	"leime/internal/sim"
+	"leime/internal/telemetry"
+	"leime/internal/trace"
 )
 
 // testFleetConfig is a fast heartbeat cadence for compressed-time tests.
@@ -238,4 +243,170 @@ func TestFleetChaosKillOneOfThreeEdges(t *testing.T) {
 	if migrations == 0 {
 		t.Error("no device migrated off the killed edge")
 	}
+}
+
+// TestFederationRuntimeMatchesSim is the federation's substrate
+// differential: three loopback edges and one cloud against sim.RunEvents
+// with three edges, on the same per-device arrival trace. Device IDs are
+// chosen so the runtime's hash homing (fnv(id) mod 3) lands device i on
+// edge i mod 3, the sim's homing. The load is light enough that neither
+// substrate migrates, so every offloaded first block must land on its
+// device's home edge in both, and mean TCT must agree within the band
+// below. The edge-only policy makes the offloaded count per edge an exact
+// function of the trace rather than of each substrate's coin flips.
+func TestFederationRuntimeMatchesSim(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second loopback differential")
+	}
+	const (
+		edges   = 3
+		devices = 6
+		slots   = 20
+		warmup  = 2
+		rate    = 1.0
+		// tctBand is the relative mean-TCT tolerance: the runtime burns
+		// modelled time in wall-clock sleeps, and each substrate samples
+		// its own exits.
+		tctBand = 0.25
+		// servedBand is the relative tolerance on each edge's first-block
+		// count.
+		servedBand = 0.05
+	)
+	const scale Scale = 0.05
+	model := testModel()
+	edgeFLOPS, cloudFLOPS := 4e9, 2e12
+	uplink := netem.Link{BandwidthBps: 1e7, Latency: 20 * time.Millisecond}
+	cloudLink := netem.Link{BandwidthBps: 5e7, Latency: 10 * time.Millisecond}
+
+	ids := make([]string, devices)
+	counts := make([][]int, devices)
+	for i := range ids {
+		for k := 0; ids[i] == ""; k++ {
+			id := fmt.Sprintf("fdiff-%d-%d", i, k)
+			h := fnv.New32a()
+			_, _ = h.Write([]byte(id))
+			if int(h.Sum32()%edges) == i%edges {
+				ids[i] = id
+			}
+		}
+		p, err := trace.NewPoisson(rate, int64(900+i))
+		if err != nil {
+			t.Fatalf("NewPoisson: %v", err)
+		}
+		counts[i] = make([]int, slots)
+		for s := range counts[i] {
+			counts[i][s] = p.Next()
+		}
+	}
+	replay := func(i int) trace.Process {
+		r, err := trace.NewRecorded(counts[i])
+		if err != nil {
+			t.Fatalf("NewRecorded: %v", err)
+		}
+		return r
+	}
+	eOnly := offload.EdgeOnly()
+
+	specs := make([]sim.DeviceSpec, devices)
+	for i := range specs {
+		specs[i] = sim.DeviceSpec{
+			Device: offload.Device{FLOPS: 1.2e9, BandwidthBps: uplink.BandwidthBps,
+				LatencySec: uplink.Latency.Seconds(), ArrivalMean: rate},
+			Arrivals: replay(i),
+			Policy:   &eOnly,
+		}
+	}
+	simRes, err := sim.RunEvents(sim.EventConfig{
+		Model: model, Devices: specs, EdgeFLOPS: edgeFLOPS, Edges: edges, CloudFLOPS: cloudFLOPS,
+		EdgeCloud: cluster.Path{BandwidthBps: cloudLink.BandwidthBps, LatencySec: cloudLink.Latency.Seconds()},
+		TauSec:    1, V: 1e4, Slots: slots, WarmupSlots: warmup, Seed: 5,
+	})
+	if err != nil {
+		t.Fatalf("sim.RunEvents: %v", err)
+	}
+
+	cloud, err := StartCloud(CloudConfig{Addr: "127.0.0.1:0", FLOPS: cloudFLOPS, Block3FLOPs: model.Mu[2], TimeScale: scale})
+	if err != nil {
+		t.Fatalf("StartCloud: %v", err)
+	}
+	defer cloud.Close()
+	regs := make([]*telemetry.Registry, edges)
+	addrs := make([]string, edges)
+	for e := range addrs {
+		regs[e] = telemetry.NewRegistry()
+		edge := startFederatedEdge(t, EdgeConfig{
+			Addr: "127.0.0.1:0", FLOPS: edgeFLOPS, Model: model,
+			CloudAddr: cloud.Addr(), CloudLink: cloudLink, TimeScale: scale, Metrics: regs[e],
+		})
+		addrs[e] = edge.Addr()
+	}
+	stats := make([]*DeviceStats, devices)
+	errs := make([]error, devices)
+	// The sim homes every device before slot 0. Hold each runtime device
+	// at its Ready hook until all six have registered, then let a few
+	// heartbeats refresh the views, so no device decides against a fleet
+	// that is still filling up.
+	var registered, wg sync.WaitGroup
+	registered.Add(devices)
+	for i := range ids {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			cfg := testDeviceConfig("", ids[i])
+			cfg.EdgeAddrs = addrs
+			// A heartbeat that outlives its timeout drops the edge from the
+			// candidates — the home edge included, which would force a
+			// migration the model never makes. Give slow probes room.
+			cfg.Fleet = fleet.Config{Every: 20 * time.Millisecond, ProbeTimeout: 250 * time.Millisecond}
+			cfg.Uplink = uplink
+			cfg.Arrivals = replay(i)
+			cfg.ArrivalMean = rate
+			cfg.Policy = &eOnly
+			cfg.Slots, cfg.WarmupSlots = slots, warmup
+			cfg.TimeScale = scale
+			cfg.Seed = int64(31 + i)
+			cfg.Ready = func() {
+				registered.Done()
+				registered.Wait()
+				time.Sleep(5 * cfg.Fleet.Every)
+			}
+			stats[i], errs[i] = RunDevice(cfg)
+		}(i)
+	}
+	wg.Wait()
+
+	var tctSum float64
+	tasks, migrations := 0, 0
+	for i, st := range stats {
+		if errs[i] != nil {
+			t.Fatalf("device %s: %v", ids[i], errs[i])
+		}
+		if st.Errors != 0 || st.Fallbacks != 0 || st.Completed != st.Generated {
+			t.Errorf("device %s: %d errors, %d fallbacks, %d/%d completed", ids[i], st.Errors, st.Fallbacks, st.Completed, st.Generated)
+		}
+		migrations += st.Migrations
+		tctSum += st.TCT.Mean() * float64(st.TCT.Count())
+		tasks += st.TCT.Count()
+	}
+	if migrations != 0 || simRes.Migrations != 0 {
+		t.Fatalf("load migrates (runtime %d, sim %d); the differential needs stable homes", migrations, simRes.Migrations)
+	}
+	served := make([]float64, edges)
+	for e, reg := range regs {
+		for _, s := range reg.Samples() {
+			if s.Name == "leime_edge_block_seconds_count" && s.Labels == `{block="1"}` {
+				served[e] = s.Value
+			}
+		}
+		want := float64(simRes.PerEdgeServed[e])
+		if want == 0 || math.Abs(served[e]-want)/want > servedBand {
+			t.Errorf("edge %d: runtime served %v first blocks, sim %v", e, served[e], want)
+		}
+	}
+	got, want := tctSum/float64(tasks), simRes.TCT.Mean()
+	if rel := math.Abs(got-want) / want; rel > tctBand {
+		t.Errorf("mean TCT: runtime %.4fs vs sim %.4fs (%.0f%% off, band %.0f%%)", got, want, rel*100, tctBand*100)
+	}
+	t.Logf("mean TCT runtime %.4fs sim %.4fs; per-edge first blocks runtime %v sim %v",
+		got, want, served, simRes.PerEdgeServed)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,9 +19,9 @@ import (
 // decision epoch folds their advertised backlog and capacity into the
 // Lyapunov drift term (offload.SelectEdge). When another edge's
 // drift-plus-penalty objective beats the current one by more than the
-// hysteresis margin, the device migrates: an explicit registration at the
-// target (re-solving its KKT allocation), then a best-effort unregistration
-// at the origin. Tasks always go to the edge that was current when they
+// hysteresis margin (offload.Hysteresis), the device migrates: an explicit
+// registration at the target (re-solving its KKT allocation), then a
+// best-effort unregistration at the origin. Tasks always go to the edge that was current when they
 // launched; in-flight work survives migrations by degrading locally at
 // worst.
 
@@ -225,17 +224,7 @@ func (me *multiEdge) step(ctrl *offload.Controller, policy offload.Policy, dev o
 			curPos = p
 		}
 	}
-	if curPos >= 0 && cands[best] != cur {
-		// Hysteresis: the non-resident share is an optimistic estimate, so
-		// demand a clear improvement before paying the migration.
-		margin := me.d.cfg.SwitchMargin
-		if margin <= 0 {
-			margin = 0.05
-		}
-		if evals[best].Objective >= evals[curPos].Objective-margin*math.Abs(evals[curPos].Objective) {
-			best = curPos
-		}
-	}
+	best = offload.Hysteresis(evals, best, curPos)
 	if target := cands[best]; target != cur {
 		if me.migrate(cur, target) {
 			states[best].ShareFLOPS = me.d.share()

@@ -7,8 +7,9 @@
 //
 //   - EventSim is a discrete-event, per-task simulator of the full
 //     device–edge–cloud pipeline (CPU queues, serialized network links,
-//     propagation delays, early exits). It is the testbed stand-in for the
-//     end-to-end latency experiments (Figs. 2, 7, 8, 10(a)).
+//     propagation delays, early exits) over one edge or a federation of
+//     several. It is the testbed stand-in for the end-to-end latency
+//     experiments (Figs. 2, 7, 8, 10(a)).
 package sim
 
 import (
