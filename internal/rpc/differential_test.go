@@ -1,10 +1,11 @@
-// Differential tests of the two wire codecs, in an external test package
-// so it can import the runtime protocol (package runtime imports rpc, so
+// Differential tests of the wire codec, in an external test package so
+// it can import the runtime protocol (package runtime imports rpc, so
 // in-package rpc tests cannot).
 package rpc_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -15,7 +16,7 @@ import (
 )
 
 // protocolMessages builds one instance of every protocol.go message from
-// fuzzable primitives. Empty payloads normalize to nil: both codecs decode
+// fuzzable primitives. Empty payloads normalize to nil: the codec decodes
 // a zero-length slice as nil, so only the nil form round-trips exactly.
 func protocolMessages(deviceID string, taskID uint64, payload []byte, stage int, load, mean, share float64, tenants int) []any {
 	if len(payload) == 0 {
@@ -45,57 +46,109 @@ func protocolMessages(deviceID string, taskID uint64, payload []byte, stage int,
 		runtime.HeartbeatResp{Ready: stage > 1, FLOPS: load, Tenants: tenants,
 			BacklogSec: mean, Saturated: tenants > 2, PendingFirstBlock: stage, ShareFLOPS: share},
 		runtime.StealReq{DeviceID: deviceID, TaskID: taskID, Payload: payload, ExitStage: stage, Hop: 1, Model: model},
+		runtime.StageInstallReq{PipelineID: deviceID + "-chain", Stage: tenants, FLOPs: [3]float64{load, mean, share},
+			Hosted: [3]bool{stage > 0, stage > 1, tenants > 2}, Deepest: stage, OutBytes: mean, NextAddr: deviceID + "-next"},
+		runtime.StageInstallResp{Stage: tenants},
+		runtime.ActivationReq{PipelineID: deviceID + "-chain", DeviceID: deviceID, TaskID: taskID,
+			Stage: tenants, ExitStage: stage, Payload: payload},
 	}
 }
 
-// roundTripBoth pushes env through the binary codec and the forced-gob
-// fallback, requiring both to reproduce the envelope exactly and to agree
-// with each other.
-func roundTripBoth(t *testing.T, env rpc.TestEnvelope) {
+// representativeMeta and representativeMessages are the fixed instances
+// the oracle and the golden frame digests run on: every exported field of
+// every message is non-zero in them (TestDifferentialProtocolMessages).
+var representativeMeta = rpc.Meta{TraceID: 7, SpanID: 9, Deadline: 1_700_000_000_000_000_000}
+
+func representativeMessages() []any {
+	return protocolMessages("dev-1", 42, []byte{1, 2, 3, 255}, 2, 8e13, 3.5, 0.25, 4)
+}
+
+// roundTrip is the wire oracle. The frame must decode back to exactly env
+// (exact=false skips this for NaN floats, which never compare equal), and
+// the decoded envelope must re-encode to the same bytes, which holds for
+// NaN payloads too.
+func roundTrip(t *testing.T, env rpc.TestEnvelope, exact bool) {
 	t.Helper()
 	if env.Body != nil && !rpc.BinaryEligible(env.Body) {
 		t.Fatalf("%T has no registered binary codec", env.Body)
 	}
-	binFrame, err := rpc.MarshalFrame(env)
+	frame, err := rpc.MarshalFrame(env)
 	if err != nil {
-		t.Fatalf("binary marshal %T: %v", env.Body, err)
+		t.Fatalf("marshal %T: %v", env.Body, err)
 	}
-	binGot, err := rpc.UnmarshalFrame(binFrame)
+	got, err := rpc.UnmarshalFrame(frame)
 	if err != nil {
-		t.Fatalf("binary unmarshal %T: %v", env.Body, err)
+		t.Fatalf("unmarshal %T: %v", env.Body, err)
 	}
-	restore := rpc.ForceGob()
-	gobFrame, err := rpc.MarshalFrame(env)
-	restore()
+	if exact && !reflect.DeepEqual(got, env) {
+		t.Errorf("round trip diverged:\n got %#v\nwant %#v", got, env)
+	}
+	again, err := rpc.MarshalFrame(got)
 	if err != nil {
-		t.Fatalf("gob marshal %T: %v", env.Body, err)
+		t.Fatalf("re-marshal %T: %v", env.Body, err)
 	}
-	gobGot, err := rpc.UnmarshalFrame(gobFrame)
-	if err != nil {
-		t.Fatalf("gob unmarshal %T: %v", env.Body, err)
+	if !bytes.Equal(frame, again) {
+		t.Errorf("%T re-encodes differently:\nfirst  %x\nsecond %x", env.Body, frame, again)
 	}
-	if !reflect.DeepEqual(binGot, env) {
-		t.Errorf("binary round-trip diverged:\n got %#v\nwant %#v", binGot, env)
-	}
-	if !reflect.DeepEqual(gobGot, env) {
-		t.Errorf("gob round-trip diverged:\n got %#v\nwant %#v", gobGot, env)
-	}
-	if !reflect.DeepEqual(binGot, gobGot) {
-		t.Errorf("codecs disagree:\nbinary %#v\n   gob %#v", binGot, gobGot)
+}
+
+// requireNonZero fails for every exported field of v, recursively through
+// structs, arrays, slices and map values, that holds its zero value or is
+// empty: a field a codec drops must not hide behind a zero.
+func requireNonZero(t *testing.T, path string, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Type().Field(i); f.IsExported() {
+				requireNonZero(t, path+"."+f.Name, v.Field(i))
+			}
+		}
+	case reflect.Array, reflect.Slice:
+		if v.Len() == 0 {
+			t.Errorf("%s is empty", path)
+		}
+		for i := 0; i < v.Len(); i++ {
+			requireNonZero(t, fmt.Sprintf("%s[%d]", path, i), v.Index(i))
+		}
+	case reflect.Map:
+		if v.Len() == 0 {
+			t.Errorf("%s is empty", path)
+		}
+		iter := v.MapRange()
+		for iter.Next() {
+			requireNonZero(t, fmt.Sprintf("%s[%v]", path, iter.Key()), iter.Value())
+		}
+	default:
+		if v.IsZero() {
+			t.Errorf("%s is zero", path)
+		}
 	}
 }
 
 // TestDifferentialProtocolMessages round-trips every protocol message with
-// representative values through both codecs.
+// representative values through the oracle. The representatives cover
+// every registered runtime codec ID and leave no exported field zero.
 func TestDifferentialProtocolMessages(t *testing.T) {
 	runtime.RegisterMessages()
-	meta := rpc.Meta{TraceID: 7, SpanID: 9, Deadline: 1_700_000_000_000_000_000}
-	for _, body := range protocolMessages("dev-1", 42, []byte{1, 2, 3, 255}, 2, 8e13, 3.5, 0.25, 4) {
-		roundTripBoth(t, rpc.TestEnvelope{ID: 11, Meta: meta, Body: body})
+	msgs := representativeMessages()
+	covered := map[reflect.Type]bool{}
+	for _, body := range msgs {
+		covered[reflect.TypeOf(body)] = true
 	}
-	// Error replies and empty envelopes must survive both codecs too.
-	roundTripBoth(t, rpc.TestEnvelope{ID: 3, IsReply: true, Err: "edge: busy", Code: "overloaded"})
-	roundTripBoth(t, rpc.TestEnvelope{ID: 0})
+	for id, typ := range rpc.CodecTypes() {
+		if typ.PkgPath() == "leime/internal/runtime" && !covered[typ] {
+			t.Errorf("codec ID %d (%v) has no representative in protocolMessages", id, typ)
+		}
+	}
+	requireNonZero(t, "Meta", reflect.ValueOf(representativeMeta))
+	for _, body := range msgs {
+		requireNonZero(t, fmt.Sprintf("%T", body), reflect.ValueOf(body))
+		roundTrip(t, rpc.TestEnvelope{ID: 11, Meta: representativeMeta, Body: body}, true)
+	}
+	// Error replies and empty envelopes must survive the codec too.
+	roundTrip(t, rpc.TestEnvelope{ID: 3, IsReply: true, Err: "edge: busy", Code: "overloaded"}, true)
+	roundTrip(t, rpc.TestEnvelope{ID: 0}, true)
 }
 
 // TestProtocolMessagesRideBinaryPath pins the negotiation: registered
@@ -130,20 +183,17 @@ func TestProtocolMessagesRideBinaryPath(t *testing.T) {
 	}
 }
 
-// FuzzDifferentialCodec fuzzes the full protocol set through both codecs,
-// requiring byte-path-independent equality.
+// FuzzDifferentialCodec fuzzes the full protocol set through the oracle.
 func FuzzDifferentialCodec(f *testing.F) {
 	runtime.RegisterMessages()
 	f.Add("dev-1", uint64(42), []byte{1, 2, 3}, 2, 8e13, 3.5, 0.25, 4, uint64(7), uint64(9), int64(12345))
 	f.Add("", uint64(0), []byte(nil), 0, 0.0, 0.0, 0.0, 0, uint64(0), uint64(0), int64(0))
 	f.Add("edge-дев", uint64(math.MaxUint64), bytes.Repeat([]byte{0xff}, 64), -1, -1.5, math.Inf(1), math.SmallestNonzeroFloat64, math.MinInt, uint64(1), uint64(math.MaxUint64), int64(math.MinInt64))
 	f.Fuzz(func(t *testing.T, deviceID string, taskID uint64, payload []byte, stage int, load, mean, share float64, tenants int, traceID, spanID uint64, deadline int64) {
-		if math.IsNaN(load) || math.IsNaN(mean) || math.IsNaN(share) {
-			t.Skip("NaN never compares equal; not a codec property")
-		}
+		exact := !math.IsNaN(load) && !math.IsNaN(mean) && !math.IsNaN(share)
 		meta := rpc.Meta{TraceID: traceID, SpanID: spanID, Deadline: deadline}
 		for _, body := range protocolMessages(deviceID, taskID, payload, stage, load, mean, share, tenants) {
-			roundTripBoth(t, rpc.TestEnvelope{ID: taskID, Meta: meta, Body: body})
+			roundTrip(t, rpc.TestEnvelope{ID: taskID, Meta: meta, Body: body}, exact)
 		}
 	})
 }
@@ -153,7 +203,7 @@ func FuzzDifferentialCodec(f *testing.F) {
 // cleanly or error — never panic.
 func FuzzCorruptBinaryFrame(f *testing.F) {
 	runtime.RegisterMessages()
-	for _, body := range protocolMessages("dev-1", 42, []byte{1, 2, 3, 255}, 2, 8e13, 3.5, 0.25, 4) {
+	for _, body := range representativeMessages() {
 		frame, err := rpc.MarshalFrame(rpc.TestEnvelope{ID: 11, Meta: rpc.Meta{TraceID: 1, SpanID: 2, Deadline: 3}, Body: body})
 		if err != nil {
 			f.Fatalf("marshal %T: %v", body, err)

@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"io"
+	"reflect"
 )
 
 // Test-only exports: external test packages (which may import the runtime
@@ -61,4 +62,13 @@ func ForceGob() (restore func()) {
 // BinaryEligible reports whether body would ride the binary codec.
 func BinaryEligible(body any) bool {
 	return body == nil || lookupCodec(body) != nil
+}
+
+// CodecTypes returns the registered codec table as wire ID → body type.
+func CodecTypes() map[uint16]reflect.Type {
+	types := map[uint16]reflect.Type{}
+	for id, entry := range codecTablesSnapshot().byID {
+		types[id] = entry.typ
+	}
+	return types
 }
