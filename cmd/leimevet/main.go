@@ -1,8 +1,8 @@
 // Command leimevet is the repo's multichecker: it loads packages from
 // source and applies every project-specific analyzer in one pass —
-// codeccomplete, determinism, unitsafety, lockdiscipline, wireerrors,
-// the ctxfirst and missingdocs checks that replaced cmd/ctxcheck and
-// cmd/doccheck, and the invariant suite: wirefrozen (codec registry vs
+// determinism, unitsafety, lockdiscipline, wireerrors, the ctxfirst and
+// missingdocs checks that replaced cmd/ctxcheck and cmd/doccheck, and
+// the invariant suite: wirefrozen (codec registry vs
 // the committed wire.manifest), clockpure (no wall clock in model-clock
 // packages), spanbalance (every started span ends), atomicmix (no mixed
 // atomic/plain field access) and deadlinefwd (forwards propagate the
@@ -37,7 +37,6 @@ import (
 	"leime/internal/analysis"
 	"leime/internal/analysis/atomicmix"
 	"leime/internal/analysis/clockpure"
-	"leime/internal/analysis/codeccomplete"
 	"leime/internal/analysis/ctxfirst"
 	"leime/internal/analysis/deadlinefwd"
 	"leime/internal/analysis/determinism"
@@ -53,7 +52,6 @@ import (
 var analyzers = []*analysis.Analyzer{
 	atomicmix.Analyzer,
 	clockpure.Analyzer,
-	codeccomplete.Analyzer,
 	ctxfirst.Analyzer,
 	deadlinefwd.Analyzer,
 	determinism.Analyzer,

@@ -75,7 +75,7 @@ func runCrossCheck(w io.Writer, quick bool) error {
 	}
 
 	// (b) The real runtime, 5x compressed. Milder compression than the
-	// examples use: every wall-clock overhead (sleep granularity, gob
+	// examples use: every wall-clock overhead (sleep granularity, wire
 	// encoding, scheduler jitter) is inflated by 1/scale when converted
 	// back to model time, so validation runs closer to real time. The run is
 	// instrumented: span and metric totals below the table let perf tracking
@@ -93,7 +93,7 @@ func runCrossCheck(w io.Writer, quick bool) error {
 	fmt.Fprintln(w, "Same workload (ME-Inception v3, Raspberry Pi, rate 3, LEIME policy), two systems:")
 	fmt.Fprint(w, tbl.String())
 	fmt.Fprintf(w, "\nmean TCT ratio: %.2fx (testbed/simulator)\n", tb.TCT.Mean()/simRes.TCT.Mean())
-	fmt.Fprintln(w, "The residual gap is wall-clock overhead (sleep granularity, gob encoding,")
+	fmt.Fprintln(w, "The residual gap is wall-clock overhead (sleep granularity, wire encoding,")
 	fmt.Fprintln(w, "scheduler jitter) inflated by the 5x time compression; it shrinks toward 1x")
 	fmt.Fprintln(w, "as -scale approaches real time. Orderings and exit mixes agree.")
 	fmt.Fprintf(w, "testbed telemetry: %d spans across %d traces, %d dropped\n",

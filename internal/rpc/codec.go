@@ -4,16 +4,14 @@
 //
 //	[4 bytes] big-endian payload length n (bytes after this prefix)
 //	[1 byte ] wire version (currently 1)
-//	[1 byte ] codec tag: 0 = gob envelope, 1 = binary envelope
-//	[n-2 B  ] envelope payload in the tagged codec
+//	[1 byte ] codec tag: 1 = binary envelope (any other tag is corruption)
+//	[n-2 B  ] envelope payload
 //
-// The binary codec hand-rolls the envelope header (correlation ID, flags,
-// error text/code, trace metadata) and dispatches the body through a
-// registry of per-type encode/decode functions keyed by a stable uint16
-// type ID (RegisterCodec). The closed set of runtime protocol messages all
-// register codecs; any body type without one falls back to a gob-encoded
-// envelope, tagged per frame, so the two codecs negotiate per message and
-// unregistered (test-only, experimental) types keep working unchanged.
+// The codec hand-rolls the envelope header (correlation ID, flags, error
+// text/code, trace metadata) and dispatches the body through a registry
+// of per-type encode/decode functions keyed by a stable uint16 type ID
+// (RegisterCodec). A body type without a registered codec cannot travel:
+// sending one fails with ErrUnencodable before any byte is written.
 //
 // Allocation discipline: encoding borrows a pooled buffer and emits the
 // frame with a single Write (the one-message-per-Write invariant netem
@@ -39,7 +37,6 @@ import (
 // ends of every link in this repo ship together.
 const (
 	wireVersion = 1
-	codecGob    = 0
 	codecBinary = 1
 )
 
@@ -91,10 +88,8 @@ func codecTablesSnapshot() *codecTables {
 // codec under the given stable wire ID. IDs identify the type on the wire,
 // so they must never be reused for a different type; re-registering the
 // same (id, type) pair is idempotent (setup functions run once per tier
-// construction). ID 0 is reserved for the nil body. Types without a
-// registered codec still travel — as gob-envelope frames (the negotiated
-// fallback) — so registration is a performance contract, not a
-// correctness one.
+// construction). ID 0 is reserved for the nil body. A type without a
+// registered codec cannot be sent (ErrUnencodable).
 func RegisterCodec(id uint16, prototype any, enc EncodeFunc, dec DecodeFunc) {
 	if id == 0 {
 		panic("rpc: codec ID 0 is reserved for the nil body")
@@ -131,31 +126,21 @@ func RegisterCodec(id uint16, prototype any, enc EncodeFunc, dec DecodeFunc) {
 	codecsValue.Store(next)
 }
 
-// binaryDisabled, when non-zero, forces every frame down the gob fallback;
-// tests use it to differential-check the two codecs over one code path.
-var binaryDisabled atomic.Bool
-
-// lookupCodec returns the entry for body's concrete type, nil when the
-// body must take the gob fallback.
+// lookupCodec returns the entry for body's concrete type, nil when none
+// is registered.
 func lookupCodec(body any) *codecEntry {
-	if body == nil || binaryDisabled.Load() {
-		return nil
-	}
 	return codecTablesSnapshot().byType[reflect.TypeOf(body)]
 }
 
 // Encoder is an append-only byte builder for the binary codec. Encode
 // methods never fail: the buffer grows as needed and the frame writer
-// enforces MaxMessageBytes once, after encoding.
+// enforces MaxMessageBytes once, after encoding. A byte string that would
+// carry the frame past that limit is counted but not copied, so rejecting
+// an oversized message costs no buffer of its size.
 type Encoder struct {
 	buf []byte
-}
-
-// Write appends p, satisfying io.Writer so the gob fallback streams into
-// the same pooled buffer as the binary path.
-func (e *Encoder) Write(p []byte) (int, error) {
-	e.buf = append(e.buf, p...)
-	return len(p), nil
+	// dropped counts the bytes left out of buf by that rule.
+	dropped int
 }
 
 // Byte appends one raw byte.
@@ -197,18 +182,29 @@ func (e *Encoder) Float64(f float64) {
 }
 
 // String appends a length-prefixed string.
-func (e *Encoder) String(s string) {
-	e.Uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
+func (e *Encoder) String(s string) { appendRaw(e, s) }
 
 // Bytes appends a length-prefixed byte slice.
-func (e *Encoder) Bytes(p []byte) {
+func (e *Encoder) Bytes(p []byte) { appendRaw(e, p) }
+
+// appendRaw appends p length-prefixed, or only counts it once the frame
+// is past any size it could be sent at (see Encoder).
+func appendRaw[T string | []byte](e *Encoder, p T) {
 	e.Uvarint(uint64(len(p)))
+	if e.dropped > 0 || len(e.buf)+len(p) > frameHeaderLen+MaxMessageBytes {
+		e.dropped += len(p)
+		return
+	}
 	e.buf = append(e.buf, p...)
 }
 
-func (e *Encoder) reset() { e.buf = e.buf[:0] }
+// size is the encoded length, bytes dropped as oversized included.
+func (e *Encoder) size() int { return len(e.buf) + e.dropped }
+
+func (e *Encoder) reset() {
+	e.buf = e.buf[:0]
+	e.dropped = 0
+}
 
 // Decoder consumes the binary form produced by an Encoder. Errors are
 // sticky: after the first malformed field every subsequent read returns a
@@ -371,34 +367,29 @@ func putEncoder(e *Encoder) {
 	}
 }
 
-// CodecStats is a snapshot of the wire codec counters: how many frames and
-// payload bytes each codec moved in each direction. The runtime daemons
-// export these through telemetry gauges; the split shows whether the data
-// plane is actually riding the binary fast path or leaking into the gob
-// fallback.
+// CodecStats is a snapshot of the wire codec counters: how many frames
+// and payload bytes the codec moved in each direction. The runtime
+// daemons export these through telemetry gauges.
 type CodecStats struct {
-	// BinaryEncoded / GobEncoded count frames written by codec.
-	BinaryEncoded, GobEncoded uint64
-	// BinaryDecoded / GobDecoded count frames read by codec.
-	BinaryDecoded, GobDecoded uint64
-	// BinaryBytes / GobBytes count encoded payload bytes by codec.
-	BinaryBytes, GobBytes uint64
+	// BinaryEncoded / BinaryDecoded count frames written / read.
+	BinaryEncoded, BinaryDecoded uint64
+	// BinaryBytes counts encoded payload bytes.
+	BinaryBytes uint64
+	// GobEncoded and GobBytes are always zero: the gob codec is gone. They
+	// remain only because the benchmark in perfbench/gen.go still sums
+	// them into its frame and byte counts.
+	GobEncoded, GobBytes uint64
 }
 
 var wireStats struct {
-	binEnc, gobEnc   atomic.Uint64
-	binDec, gobDec   atomic.Uint64
-	binByte, gobByte atomic.Uint64
+	binEnc, binDec, binByte atomic.Uint64
 }
 
 // WireStats snapshots the process-wide codec counters.
 func WireStats() CodecStats {
 	return CodecStats{
 		BinaryEncoded: wireStats.binEnc.Load(),
-		GobEncoded:    wireStats.gobEnc.Load(),
 		BinaryDecoded: wireStats.binDec.Load(),
-		GobDecoded:    wireStats.gobDec.Load(),
 		BinaryBytes:   wireStats.binByte.Load(),
-		GobBytes:      wireStats.gobByte.Load(),
 	}
 }

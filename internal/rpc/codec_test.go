@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -168,32 +169,36 @@ func TestEncodePoolRecycles(t *testing.T) {
 	putEncoder(e2)
 }
 
-// TestWireStatsCounts checks the codec counters advance on each path.
+// TestWireStatsCounts checks the codec counters advance per frame, and
+// that a body without a codec fails with ErrUnencodable, writes nothing
+// and counts nothing.
 func TestWireStatsCounts(t *testing.T) {
 	before := WireStats()
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, &envelope{ID: 1}); err != nil { // nil body: binary
-		t.Fatalf("writeFrame: %v", err)
-	}
-	if _, err := readFrame(&buf); err != nil {
-		t.Fatalf("readFrame: %v", err)
-	}
-	type gobOnly struct{ X int }
-	Register(gobOnly{})
-	if err := writeFrame(&buf, &envelope{ID: 2, Body: gobOnly{X: 1}}); err != nil {
-		t.Fatalf("writeFrame gob: %v", err)
-	}
-	if _, err := readFrame(&buf); err != nil {
-		t.Fatalf("readFrame gob: %v", err)
+	for _, body := range []any{nil, echoReq{Text: "x", N: 1}} {
+		if err := writeFrame(&buf, &envelope{ID: 1, Body: body}); err != nil {
+			t.Fatalf("writeFrame %T: %v", body, err)
+		}
+		if _, err := readFrame(&buf); err != nil {
+			t.Fatalf("readFrame %T: %v", body, err)
+		}
 	}
 	after := WireStats()
-	if after.BinaryEncoded <= before.BinaryEncoded || after.BinaryDecoded <= before.BinaryDecoded {
-		t.Errorf("binary counters did not advance: %+v -> %+v", before, after)
+	if after.BinaryEncoded != before.BinaryEncoded+2 || after.BinaryDecoded != before.BinaryDecoded+2 {
+		t.Errorf("frame counters did not advance by 2: %+v -> %+v", before, after)
 	}
-	if after.GobEncoded <= before.GobEncoded || after.GobDecoded <= before.GobDecoded {
-		t.Errorf("gob counters did not advance: %+v -> %+v", before, after)
+	if after.BinaryBytes <= before.BinaryBytes {
+		t.Errorf("byte counter did not advance")
 	}
-	if after.GobBytes <= before.GobBytes {
-		t.Errorf("gob byte counter did not advance")
+	type unregistered struct{ X int }
+	err := writeFrame(&buf, &envelope{ID: 2, Body: unregistered{X: 1}})
+	if !errors.Is(err, ErrUnencodable) {
+		t.Fatalf("unregistered body = %v, want ErrUnencodable", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("unencodable frame wrote %d bytes", buf.Len())
+	}
+	if got := WireStats(); got != after {
+		t.Errorf("unencodable frame moved the counters: %+v -> %+v", after, got)
 	}
 }

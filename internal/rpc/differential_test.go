@@ -5,9 +5,11 @@ package rpc_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"leime/internal/offload"
@@ -151,9 +153,9 @@ func TestDifferentialProtocolMessages(t *testing.T) {
 	roundTrip(t, rpc.TestEnvelope{ID: 0}, true)
 }
 
-// TestProtocolMessagesRideBinaryPath pins the negotiation: registered
-// protocol messages must take the binary codec, unregistered bodies the
-// gob fallback, distinguished by the frame's codec tag byte.
+// TestProtocolMessagesRideBinaryPath pins the frame header: registered
+// protocol messages carry codec tag 1, an unregistered body fails with
+// ErrUnencodable, and a tag-0 frame is rejected as an unknown codec.
 func TestProtocolMessagesRideBinaryPath(t *testing.T) {
 	runtime.RegisterMessages()
 	for _, body := range protocolMessages("dev", 1, []byte{9}, 1, 1, 1, 1, 1) {
@@ -166,20 +168,16 @@ func TestProtocolMessagesRideBinaryPath(t *testing.T) {
 		}
 	}
 	type unregistered struct{ X int }
-	rpc.Register(unregistered{})
-	frame, err := rpc.MarshalFrame(rpc.TestEnvelope{ID: 1, Body: unregistered{X: 5}})
+	if _, err := rpc.MarshalFrame(rpc.TestEnvelope{ID: 1, Body: unregistered{X: 5}}); !errors.Is(err, rpc.ErrUnencodable) {
+		t.Errorf("marshal unregistered = %v, want ErrUnencodable", err)
+	}
+	frame, err := rpc.MarshalFrame(rpc.TestEnvelope{ID: 1, Body: runtime.TaskResp{TaskID: 1, ExitStage: 1}})
 	if err != nil {
-		t.Fatalf("marshal unregistered: %v", err)
+		t.Fatalf("marshal: %v", err)
 	}
-	if frame[5] != 0 {
-		t.Errorf("unregistered body took codec tag %d, want gob (0)", frame[5])
-	}
-	got, err := rpc.UnmarshalFrame(frame)
-	if err != nil {
-		t.Fatalf("unmarshal gob fallback: %v", err)
-	}
-	if got.Body != (unregistered{X: 5}) {
-		t.Errorf("gob fallback body = %#v", got.Body)
+	frame[5] = 0
+	if _, err := rpc.UnmarshalFrame(frame); err == nil || !strings.Contains(err.Error(), "unknown codec tag 0") {
+		t.Errorf("tag-0 frame = %v, want unknown codec tag", err)
 	}
 }
 

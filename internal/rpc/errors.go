@@ -9,7 +9,8 @@ import (
 // Typed sentinel errors for the transport. Callers classify failures with
 // errors.Is instead of matching error strings: ErrPeerUnavailable and
 // ErrClosed describe the local connection, ErrDeadlineExceeded the request's
-// time budget, ErrCircuitOpen the reliability layer's fail-fast state.
+// time budget, ErrCircuitOpen the reliability layer's fail-fast state,
+// ErrUnencodable a message the wire cannot carry.
 var (
 	// ErrClosed is returned by calls on a closed client or server.
 	ErrClosed = errors.New("rpc: connection closed")
@@ -27,6 +28,13 @@ var (
 	// (the propagated deadline had already passed, so the request was shed).
 	// It also matches context.DeadlineExceeded via errors.Is.
 	ErrDeadlineExceeded error = deadlineError{}
+	// ErrUnencodable marks a message the wire cannot carry: its body type
+	// has no registered codec, or its frame exceeds MaxMessageBytes. It is
+	// neither a transport failure nor a handler error — nothing was sent
+	// and the connection stays healthy — so it is never retried and never
+	// counts against a circuit breaker. A server whose reply cannot be
+	// framed answers with this error instead.
+	ErrUnencodable = errors.New("rpc: message cannot be encoded")
 )
 
 // deadlineError lets errors.Is(err, context.DeadlineExceeded) succeed for
@@ -51,7 +59,7 @@ var (
 // define application-level sentinels (e.g. the runtime's backpressure error)
 // register them once at setup so they survive the trip through the envelope.
 // Codes must be unique; re-registering a code with a different sentinel
-// panics, mirroring gob.Register.
+// panics.
 func RegisterError(code string, sentinel error) {
 	if code == "" || sentinel == nil {
 		panic("rpc: RegisterError needs a code and a sentinel")
@@ -73,6 +81,7 @@ func init() {
 	RegisterError("rpc/closed", ErrClosed)
 	RegisterError("rpc/peer-unavailable", ErrPeerUnavailable)
 	RegisterError("rpc/circuit-open", ErrCircuitOpen)
+	RegisterError("rpc/unencodable", ErrUnencodable)
 }
 
 // codeFor returns the wire code of the registered sentinel err matches, or

@@ -52,13 +52,6 @@ func ReadFrameForTest(r io.Reader) error {
 	return err
 }
 
-// ForceGob disables the binary codec for differential testing and returns
-// a restore function.
-func ForceGob() (restore func()) {
-	binaryDisabled.Store(true)
-	return func() { binaryDisabled.Store(false) }
-}
-
 // BinaryEligible reports whether body would ride the binary codec.
 func BinaryEligible(body any) bool {
 	return body == nil || lookupCodec(body) != nil

@@ -3,14 +3,14 @@ package rpc
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
 
 type panicReq struct{ Msg string }
-
-func init() { Register(panicReq{}) }
 
 func startHardenedServer(t *testing.T) *Server {
 	t.Helper()
@@ -47,6 +47,48 @@ func TestHandlerPanicBecomesError(t *testing.T) {
 		t.Fatalf("call after panic: %v", err)
 	}
 	if got.(echoResp).Text != "still alive" {
+		t.Errorf("wrong reply %+v", got)
+	}
+}
+
+// TestUnencodableReplyFailsFast has the handler return a reply over
+// MaxMessageBytes: the server must answer with ErrUnencodable at once
+// instead of dropping the reply, and the connection must keep serving.
+func TestUnencodableReplyFailsFast(t *testing.T) {
+	leakCheck(t)
+	huge := echoResp{Text: strings.Repeat("x", MaxMessageBytes)}
+	s, err := Serve("127.0.0.1:0", func(_ context.Context, body any) (any, error) {
+		if req := body.(echoReq); req.N > 0 {
+			return echoResp{Text: req.Text, N: 2 * req.N}, nil
+		}
+		return huge, nil
+	})
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	defer s.Close()
+	c, err := Dial(s.Addr(), nil)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err = c.Call(ctx, echoReq{Text: "oversized reply"})
+	elapsed := time.Since(start)
+	var remote *RemoteError
+	if !errors.Is(err, ErrUnencodable) || !errors.As(err, &remote) {
+		t.Fatalf("oversized reply = %v, want a remote ErrUnencodable", err)
+	}
+	if elapsed > 100*time.Millisecond {
+		t.Errorf("oversized reply took %v to fail, want under 100ms", elapsed)
+	}
+	got, err := c.Call(ctx, echoReq{Text: "after", N: 2})
+	if err != nil {
+		t.Fatalf("call after unencodable reply: %v", err)
+	}
+	if got.(echoResp).N != 4 {
 		t.Errorf("wrong reply %+v", got)
 	}
 }

@@ -11,7 +11,7 @@ import (
 func FuzzReadFrame(f *testing.F) {
 	// Seed with a valid frame.
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, &envelope{ID: 1, Body: "hello"}); err != nil {
+	if err := writeFrame(&buf, &envelope{ID: 1, Body: echoReq{Text: "hello"}}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
@@ -32,15 +32,15 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzFrameRoundTrip checks that every string body survives a write/read
-// cycle byte-identically.
+// FuzzFrameRoundTrip checks that every string survives a write/read cycle
+// byte-identically inside a registered body.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add("", uint64(0))
 	f.Add("hello", uint64(42))
 	f.Add(string(make([]byte, 1000)), uint64(1<<60))
 	f.Fuzz(func(t *testing.T, body string, id uint64) {
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, &envelope{ID: id, Body: body}); err != nil {
+		if err := writeFrame(&buf, &envelope{ID: id, Body: echoReq{Text: body}}); err != nil {
 			t.Skip() // oversized bodies are legitimately rejected
 		}
 		// Frame length prefix must match the payload.
@@ -54,8 +54,8 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if env.ID != id {
 			t.Fatalf("ID %d != %d", env.ID, id)
 		}
-		if got, ok := env.Body.(string); !ok || got != body {
-			t.Fatalf("body %q (%T) != %q", env.Body, env.Body, body)
+		if got, ok := env.Body.(echoReq); !ok || got.Text != body {
+			t.Fatalf("body %+v (%T), want text %q", env.Body, env.Body, body)
 		}
 	})
 }

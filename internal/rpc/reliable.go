@@ -346,8 +346,8 @@ func (r *ReliableClient) Call(ctx context.Context, body any) (any, error) {
 
 // CallMeta sends body through the breaker with the configured retry policy.
 // Only transport failures of idempotent bodies are retried; remote handler
-// errors and deadline expiries return immediately. While the breaker is
-// open, calls fail fast with ErrCircuitOpen.
+// errors, deadline expiries and ErrUnencodable return immediately. While
+// the breaker is open, calls fail fast with ErrCircuitOpen.
 func (r *ReliableClient) CallMeta(ctx context.Context, meta Meta, body any) (any, error) {
 	idem := isIdempotent(body)
 	var lastErr error
@@ -396,10 +396,12 @@ func (r *ReliableClient) CallMeta(ctx context.Context, meta Meta, body any) (any
 				continue
 			}
 			return nil, err
-		case errors.Is(err, ErrDeadlineExceeded) || errors.Is(err, context.Canceled):
-			// The peer may be healthy; the caller ran out of budget. Not a
-			// breaker failure, and retrying cannot help. Release a possible
-			// half-open probe so the next caller can probe again.
+		case errors.Is(err, ErrDeadlineExceeded) || errors.Is(err, context.Canceled) ||
+			errors.Is(err, ErrUnencodable):
+			// The peer may be healthy; the caller ran out of budget or sent
+			// a message the wire cannot carry. Not a breaker failure, and
+			// retrying cannot help. Release a possible half-open probe so
+			// the next caller can probe again.
 			r.breaker.releaseProbe()
 			return nil, err
 		default:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,11 +16,6 @@ type idemReq struct{ N int }
 func (idemReq) Idempotent() bool { return true }
 
 type onceReq struct{ N int }
-
-func init() {
-	Register(idemReq{})
-	Register(onceReq{})
-}
 
 func fastOpts() ReliableOptions {
 	return ReliableOptions{
@@ -289,6 +285,79 @@ func TestReliableRemoteErrorsDoNotTripBreaker(t *testing.T) {
 	}
 	if got := r.Breaker().State(); got != BreakerClosed {
 		t.Errorf("application errors tripped the breaker: %v", got)
+	}
+}
+
+// unregisteredIdem is idempotent but has no codec: a retry loop that
+// misread its encode failure as a transport failure would resend it.
+type unregisteredIdem struct{}
+
+func (unregisteredIdem) Idempotent() bool { return true }
+
+// TestReliableUnencodableFailsFast sends an oversized request and a body
+// without a codec while another call is in flight on the shared
+// connection. Both must fail at once with ErrUnencodable, without a retry,
+// a breaker failure or a redial, and the in-flight call must complete.
+func TestReliableUnencodableFailsFast(t *testing.T) {
+	leakCheck(t)
+	started, release := make(chan struct{}), make(chan struct{})
+	s, err := Serve("127.0.0.1:0", func(_ context.Context, body any) (any, error) {
+		if req, ok := body.(slowReq); ok {
+			close(started)
+			<-release
+			return slowResp{Tag: req.Tag}, nil
+		}
+		return body, nil
+	})
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	defer s.Close()
+	var retries, connects atomic.Int32
+	r := DialReliable(s.Addr(), nil, ReliableOptions{
+		Breaker: BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute},
+		OnRetry: func() { retries.Add(1) },
+		OnConnect: func(context.Context, *Client) error {
+			connects.Add(1)
+			return nil
+		},
+		Seed: 1,
+	})
+	defer r.Close()
+	if _, err := r.Call(context.Background(), idemReq{N: 1}); err != nil {
+		t.Fatalf("warm call: %v", err)
+	}
+	inflight := make(chan error, 1)
+	go func() {
+		got, err := r.Call(context.Background(), slowReq{Tag: 7})
+		if err == nil && got.(slowResp).Tag != 7 {
+			err = errors.New("wrong reply to the in-flight call")
+		}
+		inflight <- err
+	}()
+	<-started
+	for _, body := range []any{echoReq{Text: strings.Repeat("x", MaxMessageBytes)}, unregisteredIdem{}} {
+		start := time.Now()
+		_, err := r.Call(context.Background(), body)
+		if !errors.Is(err, ErrUnencodable) || errors.Is(err, ErrPeerUnavailable) {
+			t.Errorf("%T = %v, want ErrUnencodable only", body, err)
+		}
+		if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
+			t.Errorf("%T took %v to fail, want under 100ms", body, elapsed)
+		}
+	}
+	close(release)
+	if err := <-inflight; err != nil {
+		t.Errorf("in-flight call: %v", err)
+	}
+	if got := r.Breaker().State(); got != BreakerClosed {
+		t.Errorf("breaker %v after unencodable calls, want closed", got)
+	}
+	if retries.Load() != 0 || connects.Load() != 1 {
+		t.Errorf("retries = %d, connects = %d; want 0 and 1", retries.Load(), connects.Load())
+	}
+	if _, err := r.Call(context.Background(), idemReq{N: 2}); err != nil {
+		t.Errorf("call after unencodable calls: %v", err)
 	}
 }
 

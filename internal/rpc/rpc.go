@@ -1,10 +1,9 @@
 // Package rpc is a minimal typed message layer over TCP for the testbed
-// runtime: length-prefixed versioned envelopes (hand-rolled binary for the
-// registered runtime messages, gob as the negotiated fallback — see
-// codec.go), concurrent request/response with correlation IDs, a
-// handler-based server with graceful shutdown, and optional netem shaping
-// on the client side (emulating the wireless uplink or the edge–cloud
-// Internet path).
+// runtime: length-prefixed versioned envelopes in a hand-rolled binary
+// codec (every body type registers one — see codec.go), concurrent
+// request/response with correlation IDs, a handler-based server with
+// graceful shutdown, and optional netem shaping on the client side
+// (emulating the wireless uplink or the edge–cloud Internet path).
 //
 // The call APIs are context-aware: a caller's deadline travels in the
 // envelope metadata, servers shed requests whose deadline already passed
@@ -14,10 +13,8 @@
 package rpc
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -42,8 +39,8 @@ const DialTimeout = 5 * time.Second
 // span the remote work should nest under. Deadline, when non-zero, is the
 // task's absolute wall-clock deadline in Unix nanoseconds: servers derive
 // the handler context from it and shed work that can no longer finish in
-// time. The zero Meta means "untraced, no deadline" and costs nothing
-// beyond three zero varints in the gob stream.
+// time. The zero Meta means "untraced, no deadline" and costs one flag
+// bit in the envelope.
 type Meta struct {
 	TraceID  uint64
 	SpanID   uint64
@@ -53,8 +50,8 @@ type Meta struct {
 // Valid reports whether the metadata carries a live trace.
 func (m Meta) Valid() bool { return m.TraceID != 0 }
 
-// envelope is the wire frame. Body carries any registered value (binary
-// codec or gob fallback); Code carries the typed cause of Err (see
+// envelope is the wire frame. Body carries any value with a registered
+// codec (RegisterCodec); Code carries the typed cause of Err (see
 // RegisterError).
 type envelope struct {
 	ID      uint64
@@ -64,14 +61,6 @@ type envelope struct {
 	Meta    Meta
 	Body    any
 }
-
-// Register makes a message type transportable through the gob fallback.
-// Call it once per concrete type, typically from an init-free setup
-// function in the owning package. Types that additionally register a
-// binary codec (RegisterCodec) ride the zero-allocation fast path; the
-// runtime's closed protocol set registers both, and the codeccomplete
-// analyzer keeps that set closed.
-func Register(v any) { gob.Register(v) }
 
 // Binary envelope flag bits (the byte after the correlation ID).
 const (
@@ -174,44 +163,39 @@ func decodeBinaryEnvelope(payload []byte) (*envelope, error) {
 	return env, nil
 }
 
-// writeFrame encodes the envelope — binary when the body type has a
-// registered codec (or there is no body), gob otherwise — and writes it as
-// one length-prefixed versioned frame with a single Write (one message per
-// Write keeps netem shaping faithful). The encode buffer is pooled, so the
+// writeFrame encodes the envelope and writes it as one length-prefixed
+// versioned frame with a single Write (one message per Write keeps netem
+// shaping faithful). A body without a registered codec, or a frame over
+// MaxMessageBytes, fails with ErrUnencodable before anything is written,
+// so the connection stays usable. The encode buffer is pooled, so the
 // steady-state write path allocates nothing.
 func writeFrame(w io.Writer, env *envelope) error {
+	var entry *codecEntry
+	if env.Body != nil {
+		if entry = lookupCodec(env.Body); entry == nil {
+			return fmt.Errorf("rpc: no codec registered for %T: %w", env.Body, ErrUnencodable)
+		}
+	}
 	e := getEncoder()
 	defer putEncoder(e)
 	// Header placeholder: 4-byte length prefix, version, codec tag.
-	e.buf = append(e.buf, 0, 0, 0, 0, wireVersion, codecGob)
-	entry := lookupCodec(env.Body)
-	binaryOK := entry != nil || (env.Body == nil && !binaryDisabled.Load())
-	if binaryOK {
-		encodeEnvelope(e, env, entry)
-	} else if err := gob.NewEncoder(e).Encode(env); err != nil {
-		return fmt.Errorf("rpc: encode: %w", err)
+	e.buf = append(e.buf, 0, 0, 0, 0, wireVersion, codecBinary)
+	encodeEnvelope(e, env, entry)
+	payload := e.size() - 4
+	if payload > MaxMessageBytes {
+		return fmt.Errorf("rpc: message of %d bytes exceeds limit: %w", payload, ErrUnencodable)
 	}
 	frame := e.buf
-	payload := len(frame) - 4
-	if payload > MaxMessageBytes {
-		return fmt.Errorf("rpc: message of %d bytes exceeds limit", payload)
-	}
 	binary.BigEndian.PutUint32(frame[:4], uint32(payload))
-	if binaryOK {
-		frame[5] = codecBinary
-		wireStats.binEnc.Add(1)
-		wireStats.binByte.Add(uint64(payload - 2))
-	} else {
-		wireStats.gobEnc.Add(1)
-		wireStats.gobByte.Add(uint64(payload - 2))
-	}
+	wireStats.binEnc.Add(1)
+	wireStats.binByte.Add(uint64(payload - 2))
 	if _, err := w.Write(frame); err != nil {
 		return fmt.Errorf("rpc: write: %w", err)
 	}
 	return nil
 }
 
-// readFrame reads one length-prefixed envelope, dispatching on the frame's
+// readFrame reads one length-prefixed envelope, checking the frame's
 // version and codec tag. The frame buffer is allocated exactly-sized and
 // never reused, so decoded byte-slice and string fields may alias it.
 func readFrame(r io.Reader) (*envelope, error) {
@@ -233,25 +217,15 @@ func readFrame(r io.Reader) (*envelope, error) {
 	if buf[0] != wireVersion {
 		return nil, fmt.Errorf("rpc: unsupported wire version %d (want %d)", buf[0], wireVersion)
 	}
-	payload := buf[2:]
-	switch buf[1] {
-	case codecBinary:
-		env, err := decodeBinaryEnvelope(payload)
-		if err != nil {
-			return nil, err
-		}
-		wireStats.binDec.Add(1)
-		return env, nil
-	case codecGob:
-		var env envelope
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&env); err != nil {
-			return nil, fmt.Errorf("rpc: decode: %w", err)
-		}
-		wireStats.gobDec.Add(1)
-		return &env, nil
-	default:
+	if buf[1] != codecBinary {
 		return nil, fmt.Errorf("rpc: unknown codec tag %d", buf[1])
 	}
+	env, err := decodeBinaryEnvelope(buf[2:])
+	if err != nil {
+		return nil, err
+	}
+	wireStats.binDec.Add(1)
+	return env, nil
 }
 
 // Handler processes one request body and returns a reply body or an error.
@@ -379,7 +353,12 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			writeMu.Lock()
 			defer writeMu.Unlock()
-			_ = writeFrame(conn, reply)
+			if err := writeFrame(conn, reply); errors.Is(err, ErrUnencodable) {
+				// The reply cannot be framed: answer with the error rather
+				// than leave the caller waiting out its deadline.
+				reply.Body, reply.Err, reply.Code = nil, err.Error(), codeFor(err)
+				_ = writeFrame(conn, reply) // a failed write is the read loop's to see
+			}
 		}(env)
 	}
 }
@@ -518,7 +497,8 @@ func (c *Client) Call(ctx context.Context, body any) (any, error) {
 // tighter than meta.Deadline, is propagated to the server in the envelope so
 // remote tiers can shed work that can no longer finish in time. Transport
 // failures wrap ErrPeerUnavailable; an elapsed context wraps
-// ErrDeadlineExceeded.
+// ErrDeadlineExceeded; a body that cannot be framed returns
+// ErrUnencodable and leaves the connection untouched.
 func (c *Client) CallMeta(ctx context.Context, meta Meta, body any) (any, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, ctxError(err)
@@ -554,6 +534,9 @@ func (c *Client) CallMeta(ctx context.Context, meta Meta, body any) (any, error)
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
+		if errors.Is(err, ErrUnencodable) {
+			return nil, err
+		}
 		return nil, fmt.Errorf("rpc: %w: %v", ErrPeerUnavailable, err)
 	}
 

@@ -30,13 +30,6 @@ type slowResp struct {
 	Tag int
 }
 
-func init() {
-	Register(echoReq{})
-	Register(echoResp{})
-	Register(slowReq{})
-	Register(slowResp{})
-}
-
 func startEcho(t *testing.T) *Server {
 	t.Helper()
 	s, err := Serve("127.0.0.1:0", func(_ context.Context, body any) (any, error) {
@@ -234,13 +227,8 @@ type metaResp struct {
 	SpanID  uint64
 }
 
-func init() {
-	Register(metaReq{})
-	Register(metaResp{})
-}
-
 // startMetaEcho serves a handler that reflects the envelope metadata back to
-// the caller, proving the trace fields round-trip through gob.
+// the caller, proving the trace fields round-trip through the envelope.
 func startMetaEcho(t *testing.T, delay time.Duration) *Server {
 	t.Helper()
 	s, err := ServeMeta("127.0.0.1:0", func(_ context.Context, meta Meta, body any) (any, error) {

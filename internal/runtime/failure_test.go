@@ -1,12 +1,36 @@
 package runtime
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"leime/internal/netem"
 	"leime/internal/offload"
+	"leime/internal/rpc"
 )
+
+// TestUnencodableIsNotDegradable sends a task whose payload the wire cannot
+// carry: the failure is the sender's, not an unreachable edge, so the
+// device must not read it as a reason to degrade.
+func TestUnencodableIsNotDegradable(t *testing.T) {
+	RegisterMessages()
+	srv, err := rpc.Serve("127.0.0.1:0", func(_ context.Context, body any) (any, error) { return body, nil })
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	defer srv.Close()
+	c, err := rpc.Dial(srv.Addr(), nil)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	_, err = c.Call(context.Background(), FirstBlockReq{DeviceID: "d", Payload: make([]byte, rpc.MaxMessageBytes)})
+	if !errors.Is(err, rpc.ErrUnencodable) || degradable(err) {
+		t.Errorf("oversized task = %v (degradable %v), want a non-degradable ErrUnencodable", err, degradable(err))
+	}
+}
 
 func TestDeviceSurvivesCloudFailure(t *testing.T) {
 	// The cloud dies mid-run: the edge degrades third-block tasks to the
