@@ -1,10 +1,10 @@
 // Command leimevet is the repo's multichecker: it loads packages from
 // source and applies every project-specific analyzer in one pass —
-// determinism, unitsafety, lockdiscipline, wireerrors, the ctxfirst and
-// missingdocs checks that replaced cmd/ctxcheck and cmd/doccheck, and
-// the invariant suite: wirefrozen (codec registry vs
-// the committed wire.manifest), clockpure (no wall clock in model-clock
-// packages), spanbalance (every started span ends), atomicmix (no mixed
+// determinism (map order), unitsafety, lockdiscipline, wireerrors, the
+// ctxfirst and missingdocs checks that replaced cmd/ctxcheck and
+// cmd/doccheck, and the invariant suite: wirefrozen (codec registry vs
+// the committed wire.manifest), clockpure (no wall clock or global rand
+// in model-clock packages), spanbalance (every started span ends), atomicmix (no mixed
 // atomic/plain field access) and deadlinefwd (forwards propagate the
 // incoming deadline). It prints one line per finding and exits non-zero
 // when any survive the //lint:ignore suppression filter.

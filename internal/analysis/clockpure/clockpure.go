@@ -1,12 +1,14 @@
 // Package clockpure enforces wall-clock freedom in the model-clock
-// packages across package boundaries. The determinism analyzer catches a
-// direct time.Now in a pure package; it cannot see a helper in another
-// package that reads the clock on the pure package's behalf. clockpure
-// computes a "reaches the wall clock" fact for every function in every
-// analyzed package — seeded by direct time/global-rand calls, closed over
-// intra-package calls by fixpoint, and propagated across packages through
-// the fact store (analysis.Run analyzes dependencies first) — then flags
-// every call site in a model-clock package whose callee carries the fact.
+// packages, the simulation, solver, model, schedule-synthesis and metric
+// code whose same-seed runs must replay bit for bit. A model-clock package
+// must not name a wall-clock time function or a global-source math/rand
+// function (called or taken as a value), nor call a helper in any analyzed
+// package that reaches one. clockpure computes a "reaches the wall clock"
+// fact for every function in every analyzed package — seeded by direct
+// time/global-rand references, closed over intra-package calls by fixpoint,
+// and propagated across packages through the fact store (analysis.Run
+// analyzes dependencies first) — then flags every direct reference and every
+// call site in a model-clock package whose callee carries the fact.
 //
 // Cross-package propagation needs the callee's package in the same run:
 // `leimevet ./...` (what CI runs) sees the whole module; a single-package
@@ -22,15 +24,25 @@ import (
 )
 
 // Packages lists the model-clock packages where reaching the wall clock
-// breaks same-seed replay. internal/loadgen is deliberately absent: its
-// live half paces real RPCs by design (the deterministic half is guarded
-// by determinism's PurePaths entry plus the file-level opt-out).
+// breaks same-seed replay. The runtime/rpc/telemetry substrate is
+// wall-clock by nature and absent. internal/loadgen is listed to guard its
+// deterministic half (schedule.go); its live dispatch file, which paces
+// real RPCs, opts out with a file-level directive.
 var Packages = []string{
+	"leime/internal/cluster",
+	"leime/internal/confidence",
 	"leime/internal/control",
-	"leime/internal/sim",
-	"leime/internal/partition",
+	"leime/internal/dataset",
 	"leime/internal/exitsetting",
+	"leime/internal/loadgen",
+	"leime/internal/metrics",
+	"leime/internal/model",
 	"leime/internal/offload",
+	"leime/internal/partition",
+	"leime/internal/scenario",
+	"leime/internal/sim",
+	"leime/internal/tensor",
+	"leime/internal/trace",
 	// "clocky" is the analysistest fixture stand-in for this set.
 	"clocky",
 }
@@ -44,6 +56,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // wallClock names the time functions that read or wait on the wall clock.
+// Duration arithmetic (time.Duration, constants) stays legal.
 var wallClock = map[string]bool{
 	"Now": true, "Since": true, "Until": true, "Sleep": true,
 	"After": true, "AfterFunc": true, "Tick": true,
@@ -51,7 +64,8 @@ var wallClock = map[string]bool{
 }
 
 // seededRandOK names the math/rand constructors that take an explicit
-// source instead of consulting the shared global one.
+// source instead of consulting the shared global one. Naming the rand.Rand
+// type is how seed injection is written down, and is legal too.
 var seededRandOK = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
 
 // taint is the fact exported about a clock-reaching function: how it gets
@@ -82,25 +96,24 @@ func run(pass *analysis.Pass) (any, error) {
 			}
 			decls = append(decls, fn)
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if via, bad := directClockCall(pass, call); bad {
-					if _, seen := taints[fn]; !seen {
-						taints[fn] = via
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if via, bad := directClockRef(pass, n); bad {
+						if _, seen := taints[fn]; !seen {
+							taints[fn] = via
+						}
 					}
-					return true
-				}
-				callee := calleeFunc(pass, call)
-				if callee == nil {
-					return true
-				}
-				if callee.Pkg() == pass.Pkg {
-					calls[fn] = append(calls[fn], callee)
-				} else if fact, ok := pass.ImportFact(callee); ok {
-					if _, seen := taints[fn]; !seen {
-						taints[fn] = fmt.Sprintf("calls %s (%s)", callee.FullName(), fact.(taint).via)
+				case *ast.CallExpr:
+					callee := calleeFunc(pass, n)
+					if callee == nil {
+						return true
+					}
+					if callee.Pkg() == pass.Pkg {
+						calls[fn] = append(calls[fn], callee)
+					} else if fact, ok := pass.ImportFact(callee); ok {
+						if _, seen := taints[fn]; !seen {
+							taints[fn] = fmt.Sprintf("calls %s (%s)", callee.FullName(), fact.(taint).via)
+						}
 					}
 				}
 				return true
@@ -133,26 +146,26 @@ func run(pass *analysis.Pass) (any, error) {
 		return nil, nil
 	}
 
-	// Pass 3: report every clock-reaching call site in this package.
+	// Pass 3: report every direct reference and every clock-reaching call
+	// site in this package.
 	for _, f := range pass.Files {
 		if pass.InTestFile(f.Pos()) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if via, bad := directClockCall(pass, call); bad {
-				pass.Reportf(call.Pos(), "model-clock package %s reads %s; thread model time (or a seeded source) explicitly", pass.Pkg.Path(), via)
-				return true
-			}
-			callee := calleeFunc(pass, call)
-			if callee == nil || callee.Pkg() == pass.Pkg {
-				return true // same-package helpers report at their own guts
-			}
-			if fact, ok := pass.ImportFact(callee); ok {
-				pass.Reportf(call.Pos(), "model-clock package %s reaches the wall clock via %s (%s)", pass.Pkg.Path(), callee.FullName(), fact.(taint).via)
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if via, bad := directClockRef(pass, n); bad {
+					pass.Reportf(n.Pos(), "model-clock package %s reads %s; thread model time (or a seeded source) explicitly", pass.Pkg.Path(), via)
+				}
+			case *ast.CallExpr:
+				callee := calleeFunc(pass, n)
+				if callee == nil || callee.Pkg() == pass.Pkg {
+					return true // same-package helpers report at their own guts
+				}
+				if fact, ok := pass.ImportFact(callee); ok {
+					pass.Reportf(n.Pos(), "model-clock package %s reaches the wall clock via %s (%s)", pass.Pkg.Path(), callee.FullName(), fact.(taint).via)
+				}
 			}
 			return true
 		})
@@ -169,13 +182,10 @@ func isModelClock(path string) bool {
 	return false
 }
 
-// directClockCall reports whether call invokes a wall-clock time function
-// or a global-source math/rand function, and names it.
-func directClockCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
+// directClockRef reports whether sel names a wall-clock time function or a
+// global-source math/rand function, called or taken as a value, and names
+// it.
+func directClockRef(pass *analysis.Pass, sel *ast.SelectorExpr) (string, bool) {
 	id, ok := sel.X.(*ast.Ident)
 	if !ok {
 		return "", false

@@ -18,11 +18,20 @@ func TestFixtures(t *testing.T) {
 // coverage must edit this list consciously.
 func TestPackagesPinned(t *testing.T) {
 	want := map[string]bool{
+		"leime/internal/cluster":     true,
+		"leime/internal/confidence":  true,
 		"leime/internal/control":     true,
-		"leime/internal/sim":         true,
-		"leime/internal/partition":   true,
+		"leime/internal/dataset":     true,
 		"leime/internal/exitsetting": true,
+		"leime/internal/loadgen":     true,
+		"leime/internal/metrics":     true,
+		"leime/internal/model":       true,
 		"leime/internal/offload":     true,
+		"leime/internal/partition":   true,
+		"leime/internal/scenario":    true,
+		"leime/internal/sim":         true,
+		"leime/internal/tensor":      true,
+		"leime/internal/trace":       true,
 		"clocky":                     true,
 	}
 	if len(clockpure.Packages) != len(want) {

@@ -32,6 +32,21 @@ func BadDirect() float64 {
 	return float64(time.Now().UnixNano()) // want `model-clock package clocky reads time.Now`
 }
 
+// BadSleep waits on the wall clock.
+func BadSleep() {
+	time.Sleep(time.Millisecond) // want `model-clock package clocky reads time.Sleep`
+}
+
+// BadValue takes a wall-clock function as a value: calling it later reads
+// the clock just the same.
+func BadValue() func() time.Time {
+	now := time.Now // want `model-clock package clocky reads time.Now`
+	return now
+}
+
+// Use consumes an injected generator; naming the rand.Rand type is legal.
+func Use(rng *rand.Rand) float64 { return rng.Float64() }
+
 // BadRand consults the global rand source.
 func BadRand() float64 {
 	return rand.Float64() // want `the global rand source via rand.Float64`

@@ -1,22 +1,14 @@
-// Package determinism protects the repo's bit-reproducibility guarantees.
-// The pin tests (byte-identical simulator output, zero-value-is-exact-FIFO,
-// solver/sim cross-checks) only hold if the model and simulation packages
-// never read wall clocks or shared randomness, and if nothing anywhere
-// lets Go's randomized map iteration order leak into output ordering.
+// Package determinism protects the repo's bit-reproducibility guarantees
+// against Go's randomized map iteration order: a range over a map must not
+// feed an ordered sink — no appends to outer slices, no conditional returns
+// of loop-derived values, no formatted output from inside the loop body.
+// Iteration order varies run to run, so each of those makes output depend on
+// the map's hash seed. The pin tests (byte-identical simulator output,
+// solver/sim cross-checks) rely on it everywhere. Wall-clock and
+// global-rand freedom of the model-clock packages is clockpure's job.
 //
-// Two invariant tiers:
-//
-//   - In the pure packages (PurePaths): no time.Now/Since/Sleep/timers, and
-//     no math/rand package-level functions — randomness must flow through a
-//     seed-injected *rand.Rand so the same seed replays the same run.
-//   - Everywhere: a range over a map must not feed an ordered sink — no
-//     appends to outer slices, no conditional returns of loop-derived
-//     values, no formatted output from inside the loop body. Iteration
-//     order varies run to run, so each of those makes output depend on the
-//     map's hash seed.
-//
-// _test.go files are exempt: tests own their clocks and frequently iterate
-// maps to assert set membership.
+// _test.go files are exempt: tests iterate maps freely to assert set
+// membership.
 package determinism
 
 import (
@@ -27,98 +19,20 @@ import (
 	"leime/internal/analysis"
 )
 
-// PurePaths lists the packages that must stay free of wall clocks and
-// global randomness. Simulation, solver, model, schedule-synthesis and
-// metric code is pure; the runtime/rpc/telemetry substrate and the live
-// load driver are wall-clock by nature and are covered only by the
-// map-order tier.
-var PurePaths = []string{
-	"leime/internal/cluster",
-	"leime/internal/confidence",
-	"leime/internal/control",
-	"leime/internal/dataset",
-	"leime/internal/exitsetting",
-	"leime/internal/loadgen",
-	"leime/internal/metrics",
-	"leime/internal/model",
-	"leime/internal/offload",
-	"leime/internal/partition",
-	"leime/internal/scenario",
-	"leime/internal/sim",
-	"leime/internal/tensor",
-	"leime/internal/trace",
-	// "pure" is the analysistest fixture stand-in for this set.
-	"pure",
-}
-
-// Analyzer flags wall-clock and unseeded-randomness use in pure packages
-// and order-dependent map iteration everywhere.
+// Analyzer flags order-dependent map iteration.
 var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
-	Doc:  "pure packages must be bit-deterministic; map iteration must not order output",
+	Doc:  "map iteration must not order output",
 	Run:  run,
 }
 
-// wallClock names the time package functions that read or wait on the wall
-// clock. Duration arithmetic (time.Duration, constants) stays legal.
-var wallClock = map[string]bool{
-	"Now": true, "Since": true, "Until": true, "Sleep": true,
-	"After": true, "AfterFunc": true, "Tick": true,
-	"NewTimer": true, "NewTicker": true,
-}
-
-// seededRandOK names the math/rand package-level functions that construct
-// explicit sources rather than consulting the shared global one.
-var seededRandOK = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
-
 func run(pass *analysis.Pass) (any, error) {
-	pure := isPure(pass.Pkg.Path())
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
+		if !pass.InTestFile(f.Pos()) {
+			checkMapOrder(pass, f)
 		}
-		if pure {
-			checkPure(pass, f)
-		}
-		checkMapOrder(pass, f)
 	}
 	return nil, nil
-}
-
-func isPure(path string) bool {
-	for _, p := range PurePaths {
-		if path == p {
-			return true
-		}
-	}
-	return false
-}
-
-// checkPure reports wall-clock reads and global-rand calls in one file of a
-// pure package.
-func checkPure(pass *analysis.Pass, f *ast.File) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		pkgName, ok := importedPackage(pass, sel)
-		if !ok {
-			return true
-		}
-		// Only function references matter: naming the rand.Rand or
-		// time.Duration types is how seed injection is written down.
-		if _, isFunc := pass.TypesInfo.Uses[sel.Sel].(*types.Func); !isFunc {
-			return true
-		}
-		switch {
-		case pkgName == "time" && wallClock[sel.Sel.Name]:
-			pass.Reportf(sel.Pos(), "pure package %s reads the wall clock via time.%s; thread model time explicitly", pass.Pkg.Path(), sel.Sel.Name)
-		case pkgName == "math/rand" && !seededRandOK[sel.Sel.Name]:
-			pass.Reportf(sel.Pos(), "pure package %s uses the global rand source via rand.%s; inject a seeded *rand.Rand", pass.Pkg.Path(), sel.Sel.Name)
-		}
-		return true
-	})
 }
 
 // importedPackage resolves a selector's base to an imported package name

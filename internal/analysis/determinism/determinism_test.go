@@ -8,5 +8,5 @@ import (
 )
 
 func TestDeterminism(t *testing.T) {
-	analysistest.Run(t, "testdata", determinism.Analyzer, "pure", "maporder")
+	analysistest.Run(t, "testdata", determinism.Analyzer, "maporder")
 }

@@ -79,6 +79,12 @@ type Health struct {
 	// Saturated reports whether any tenant executor is at its admission
 	// budget; saturated edges are skipped as steal targets.
 	Saturated bool
+	// PendingFirstBlock is the probing device's first-block backlog H_i at
+	// the edge; zero when the device is not resident there.
+	PendingFirstBlock int
+	// ShareFLOPS is the probing device's solved KKT share at the edge; zero
+	// when the device is not resident there.
+	ShareFLOPS float64
 }
 
 // Member is one edge's registry entry.

@@ -29,10 +29,10 @@ import (
 
 // This file is the live half of the harness: it dispatches the schedule
 // against a real edge over real time, so wall-clock reads are its whole
-// purpose. The package stays in the determinism analyzer's pure set to
-// guard schedule.go; this one file opts out.
+// purpose. The package stays in clockpure's model-clock set to guard
+// schedule.go; this one file opts out.
 //
-//lint:file-ignore determinism open-loop dispatch paces real RPCs against the wall clock by design; the deterministic half of the package lives in schedule.go
+//lint:file-ignore clockpure open-loop dispatch paces real RPCs against the wall clock by design; the deterministic half of the package lives in schedule.go
 
 // Latency summarizes the end-to-end latency distribution of completed
 // tasks, in seconds, measured from each task's scheduled arrival.

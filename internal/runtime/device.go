@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"leime/internal/fleet"
 	"leime/internal/metrics"
 	"leime/internal/netem"
 	"leime/internal/offload"
@@ -27,17 +26,15 @@ type DeviceConfig struct {
 	FLOPS float64
 	// Model is the deployed ME-DNN.
 	Model offload.ModelParams
-	// EdgeAddr is the edge server address.
+	// EdgeAddr is the edge server address; shorthand for a one-entry
+	// EdgeAddrs.
 	EdgeAddr string
-	// EdgeAddrs, when it lists more than one address, puts the device in
-	// federation mode: it heartbeats every edge, folds their advertised
-	// backlog and capacity into the Lyapunov drift term, and migrates its
-	// tenancy to the edge minimizing drift-plus-penalty each decision epoch.
-	// A single entry is equivalent to EdgeAddr. Supersedes EdgeAddr when set.
+	// EdgeAddrs is the device's edge fleet: each decision epoch the device
+	// heartbeats every edge, folds their advertised backlog and capacity
+	// into the Lyapunov drift term, and migrates its tenancy to the edge
+	// minimizing drift-plus-penalty. A single edge is a fleet of one.
+	// Supersedes EdgeAddr when set.
 	EdgeAddrs []string
-	// Fleet tunes the device's heartbeat poller over EdgeAddrs (zero value =
-	// fleet defaults, except Every which defaults to one scaled slot).
-	Fleet fleet.Config
 	// PipelineAddrs, when non-empty, puts the device in pipelined mode: it
 	// installs Pipeline on the listed edge workers (stage j at address j),
 	// sends every task into the first stage, and never consults the
@@ -86,8 +83,8 @@ type DeviceConfig struct {
 	// transport failures (zero value = rpc defaults).
 	Retry rpc.RetryPolicy
 	// Breaker tunes the device's per-edge circuit breaker (zero value =
-	// rpc defaults). While the breaker is not closed, offload decisions
-	// are overridden to device-only.
+	// rpc defaults). An edge whose breaker is not closed is no offloading
+	// candidate; with none left, the slot runs device-only.
 	Breaker rpc.BreakerConfig
 	// Seed drives arrival, exit and offloading randomness.
 	Seed int64
@@ -174,8 +171,8 @@ type DeviceStats struct {
 	Retries int
 	// BreakerOpens counts circuit-breaker open transitions during the run.
 	BreakerOpens int
-	// Migrations counts edge re-selections in federation mode: each one is a
-	// tenancy move (register at the new edge, unregister at the old).
+	// Migrations counts edge re-selections: each one is a tenancy move
+	// (register at the new edge, unregister at the old).
 	Migrations int
 }
 
@@ -189,10 +186,8 @@ type DeviceStats struct {
 // — while it is not closed, offload decisions are overridden to device-only
 // and every task runs its blocks locally (counted in DeviceStats.Degraded).
 func RunDevice(cfg DeviceConfig) (*DeviceStats, error) {
-	// A one-element edge list is plain single-edge operation: no heartbeat
-	// poller, no migration machinery, behaviour identical to EdgeAddr.
-	if len(cfg.EdgeAddrs) == 1 {
-		cfg.EdgeAddr, cfg.EdgeAddrs = cfg.EdgeAddrs[0], nil
+	if len(cfg.EdgeAddrs) == 0 && cfg.EdgeAddr != "" {
+		cfg.EdgeAddrs = []string{cfg.EdgeAddr}
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -263,53 +258,13 @@ func RunDevice(cfg DeviceConfig) (*DeviceStats, error) {
 		}
 		d.pipe = pipe
 		defer pipe.Close()
-	} else if len(cfg.EdgeAddrs) > 1 {
+	} else {
 		me, err := startMultiEdge(d)
 		if err != nil {
 			return nil, err
 		}
-		d.multi = me
+		d.edges = me
 		defer me.close()
-	} else {
-		shaper, err := netem.NewShaper(scaleLink(cfg.Uplink, cfg.TimeScale), cfg.Seed^0xde)
-		if err != nil {
-			return nil, err
-		}
-		client := rpc.DialReliable(cfg.EdgeAddr, shaper, rpc.ReliableOptions{
-			Retry:   cfg.Retry,
-			Breaker: cfg.Breaker,
-			// Re-establish the session on every (re)connection: a restarted
-			// edge has no tenant state, so the device re-registers with its
-			// live rate estimate and adopts the fresh share before any other
-			// call proceeds. This keeps the Lyapunov inputs consistent across
-			// reconnects — the new edge's backlog observation starts at zero,
-			// matching its actual empty queues.
-			OnConnect: func(ctx context.Context, c *rpc.Client) error {
-				got, err := c.Call(ctx, RegisterReq{DeviceID: cfg.ID, FLOPS: cfg.FLOPS, ArrivalMean: d.rate(), Model: cfg.Model})
-				if err != nil {
-					return err
-				}
-				if resp, ok := got.(RegisterResp); ok && resp.ShareFLOPS > 0 {
-					d.setShare(resp.ShareFLOPS)
-				}
-				return nil
-			},
-			OnRetry:         d.onRetry,
-			OnBreakerChange: d.onBreakerChange,
-			Seed:            cfg.Seed ^ 0x9e77,
-		})
-		d.clientP.Store(client)
-		defer client.Close()
-
-		// The first call both connects and registers (via OnConnect); an edge
-		// that is down or rejects the registration fails the run up front,
-		// exactly like the pre-fault-tolerance behaviour.
-		regCtx, regCancel := context.WithTimeout(context.Background(), rpc.DialTimeout)
-		_, err = client.Call(regCtx, QueueStatReq{DeviceID: cfg.ID})
-		regCancel()
-		if err != nil {
-			return nil, fmt.Errorf("runtime: register: %w", err)
-		}
 	}
 	if cfg.Ready != nil {
 		cfg.Ready()
@@ -350,26 +305,11 @@ slots:
 			}
 			cancel()
 		}
-		var x float64
-		if d.pipe != nil {
-			// The chain-cut solver decided placement offline: every task
-			// enters the pipeline, so the per-slot decision is constant.
-			x = 1
-		} else if d.multi != nil {
-			x = d.multi.step(ctrl, policy, dev, float64(m), float64(local.Pending()))
-		} else {
-			slot := offload.Slot{
-				Arrivals:       float64(m),
-				State:          offload.State{Q: float64(local.Pending()), H: float64(d.edgeBacklog())},
-				EdgeShareFLOPS: d.share(),
-			}
-			x = policy.Decide(ctrl, dev, slot)
-			if d.edgeClient().Breaker().State() != rpc.BreakerClosed {
-				// The edge is suspect: override the decision to device-only
-				// until the breaker's half-open probe (a control-plane call)
-				// confirms recovery.
-				x = 0
-			}
+		// The chain-cut solver decided a pipeline's placement offline:
+		// every task enters the chain, so its per-slot decision is constant.
+		x := 1.0
+		if d.edges != nil {
+			x = d.edges.step(ctrl, policy, dev, float64(m), float64(local.Pending()))
 		}
 		d.tel.ratio.Set(x)
 		d.tel.generated.Add(uint64(m))
@@ -394,7 +334,7 @@ slots:
 type deviceRun struct {
 	cfg       DeviceConfig
 	clientP   atomic.Pointer[rpc.ReliableClient] // current edge; swapped on migration
-	multi     *multiEdge                         // nil outside federation mode
+	edges     *multiEdge                         // nil in pipelined mode
 	pipe      *PipelineClient                    // nil outside pipelined mode
 	local     *Executor
 	tel       deviceTelemetry
@@ -433,9 +373,9 @@ func (d *deviceRun) onRetry() {
 	d.mu.Unlock()
 }
 
-// onBreakerChange mirrors breaker transitions into telemetry; in federation
-// mode all edges share the handler, so the state gauge reflects the most
-// recent transition on any of them.
+// onBreakerChange mirrors breaker transitions into telemetry; all edges
+// share the handler, so the state gauge reflects the most recent transition
+// on any of them.
 func (d *deviceRun) onBreakerChange(s rpc.BreakerState) {
 	d.tel.breakerState.Set(float64(s))
 	if s == rpc.BreakerOpen {
@@ -517,7 +457,7 @@ func newDeviceTelemetry(id string, tr *telemetry.Tracer, reg *telemetry.Registry
 		retries:      reg.Counter("leime_rpc_retries_total", "RPC retry attempts against the edge.", dev),
 		breakerOpens: reg.Counter("leime_breaker_opens_total", "Circuit breaker open transitions.", dev),
 		breakerState: reg.Gauge("leime_breaker_state", "Edge circuit breaker state (0 closed, 1 half-open, 2 open).", dev),
-		migrations:   reg.Counter("leime_device_migrations_total", "Edge re-selections (tenancy moves) in federation mode.", dev),
+		migrations:   reg.Counter("leime_device_migrations_total", "Edge re-selections (tenancy moves).", dev),
 		curEdge:      reg.Gauge("leime_device_edge", "Index of the device's current edge in its configured fleet.", dev),
 		tct:          reg.Histogram("leime_tct_seconds", "End-to-end task completion time (model seconds).", nil, dev),
 		ratio:        reg.Gauge("leime_offload_ratio", "Most recent slot's offloading decision.", dev),
@@ -547,25 +487,6 @@ func (d *deviceRun) rngCoin() float64 {
 	d.rngMu.Lock()
 	defer d.rngMu.Unlock()
 	return d.rng.Float64()
-}
-
-// edgeBacklog asks the edge how many of this device's first-block tasks are
-// pending (the H_i observation of the controller). While the breaker is
-// half-open this idempotent call doubles as the recovery probe; on any
-// failure the observation degrades to zero, matching the device-only
-// override that accompanies a non-closed breaker.
-func (d *deviceRun) edgeBacklog() int {
-	ctx, cancel := d.controlCtx()
-	defer cancel()
-	got, err := d.edgeClient().Call(ctx, QueueStatReq{DeviceID: d.cfg.ID})
-	if err != nil {
-		return 0
-	}
-	resp, ok := got.(QueueStatResp)
-	if !ok {
-		return 0
-	}
-	return resp.PendingFirstBlock
 }
 
 // degradable reports whether an edge call failed in a way the device can

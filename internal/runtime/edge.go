@@ -605,7 +605,7 @@ func (e *Edge) firstBlock(ctx context.Context, meta rpc.Meta, req FirstBlockReq)
 	if effExit <= 1 {
 		return TaskResp{TaskID: req.TaskID, ExitStage: 1}, nil
 	}
-	return e.continueSecond(ctx, meta, t, model, req.DeviceID, req.TaskID, effExit)
+	return e.continueSecond(ctx, meta, t.exec, model, req.DeviceID, req.TaskID, effExit)
 }
 
 // secondBlock runs block 2 for a task whose first block ran on the device.
@@ -620,16 +620,17 @@ func (e *Edge) secondBlock(ctx context.Context, meta rpc.Meta, req SecondBlockRe
 	if effExit <= 1 {
 		return TaskResp{TaskID: req.TaskID, ExitStage: 1}, nil
 	}
-	return e.continueSecond(ctx, meta, t, model, req.DeviceID, req.TaskID, effExit)
+	return e.continueSecond(ctx, meta, t.exec, model, req.DeviceID, req.TaskID, effExit)
 }
 
-// continueSecond runs block 2 and, for exit-3 tasks, forwards to the cloud.
-// When the cloud is unreachable (transport failure or open breaker), the
-// task degrades to the Second exit instead of failing: an accuracy hit, not
-// an availability hit — the multi-exit architecture's graceful-degradation
-// dividend.
-func (e *Edge) continueSecond(ctx context.Context, meta rpc.Meta, t *tenant, model offload.ModelParams, deviceID string, taskID uint64, exitStage int) (any, error) {
-	wait, service, err := t.exec.DoTimedCtx(ctx, model.Mu[1])
+// continueSecond runs block 2 on exec (the tenant's executor, or the steal
+// executor for work a peer forwarded) and, for exit-3 tasks, forwards to the
+// cloud. When the cloud is unreachable (transport failure or open breaker),
+// the task degrades to the Second exit instead of failing: an accuracy hit,
+// not an availability hit — the multi-exit architecture's
+// graceful-degradation dividend.
+func (e *Edge) continueSecond(ctx context.Context, meta rpc.Meta, exec *Executor, model offload.ModelParams, deviceID string, taskID uint64, exitStage int) (any, error) {
+	wait, service, err := exec.DoTimedCtx(ctx, model.Mu[1])
 	if err != nil {
 		return nil, e.execErr(err)
 	}
@@ -643,8 +644,7 @@ func (e *Edge) continueSecond(ctx context.Context, meta rpc.Meta, t *tenant, mod
 }
 
 // forwardCloud ships a post-Second-exit task to the cloud tier, degrading
-// to the Second exit when the cloud is unreachable. Shared by the tenant
-// path (continueSecond) and the steal path.
+// to the Second exit when the cloud is unreachable.
 func (e *Edge) forwardCloud(ctx context.Context, meta rpc.Meta, model offload.ModelParams, deviceID string, taskID uint64) (any, error) {
 	payload := make([]byte, int(model.D[2]))
 	var cloudSpan *telemetry.Active

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -193,7 +194,6 @@ func TestFleetChaosKillOneOfThreeEdges(t *testing.T) {
 		go func(i int, id string) {
 			cfg := testDeviceConfig("", id)
 			cfg.EdgeAddrs = append([]string(nil), addrs...)
-			cfg.Fleet = testFleetConfig()
 			eOnly := offload.EdgeOnly()
 			cfg.Policy = &eOnly // insist on offloading: only faults force local work
 			cfg.ArrivalMean = 4
@@ -343,9 +343,8 @@ func TestFederationRuntimeMatchesSim(t *testing.T) {
 	stats := make([]*DeviceStats, devices)
 	errs := make([]error, devices)
 	// The sim homes every device before slot 0. Hold each runtime device
-	// at its Ready hook until all six have registered, then let a few
-	// heartbeats refresh the views, so no device decides against a fleet
-	// that is still filling up.
+	// at its Ready hook until all six have registered, so no device's first
+	// heartbeat round sees a fleet that is still filling up.
 	var registered, wg sync.WaitGroup
 	registered.Add(devices)
 	for i := range ids {
@@ -354,10 +353,6 @@ func TestFederationRuntimeMatchesSim(t *testing.T) {
 			defer wg.Done()
 			cfg := testDeviceConfig("", ids[i])
 			cfg.EdgeAddrs = addrs
-			// A heartbeat that outlives its timeout drops the edge from the
-			// candidates — the home edge included, which would force a
-			// migration the model never makes. Give slow probes room.
-			cfg.Fleet = fleet.Config{Every: 20 * time.Millisecond, ProbeTimeout: 250 * time.Millisecond}
 			cfg.Uplink = uplink
 			cfg.Arrivals = replay(i)
 			cfg.ArrivalMean = rate
@@ -368,7 +363,6 @@ func TestFederationRuntimeMatchesSim(t *testing.T) {
 			cfg.Ready = func() {
 				registered.Done()
 				registered.Wait()
-				time.Sleep(5 * cfg.Fleet.Every)
 			}
 			stats[i], errs[i] = RunDevice(cfg)
 		}(i)
@@ -409,4 +403,133 @@ func TestFederationRuntimeMatchesSim(t *testing.T) {
 	}
 	t.Logf("mean TCT runtime %.4fs sim %.4fs; per-edge first blocks runtime %v sim %v",
 		got, want, served, simRes.PerEdgeServed)
+}
+
+// TestHomeEdgeSurvivesOneMissedHeartbeat pins the candidate rule of the
+// device's edge fleet: an edge stays a candidate on its last good heartbeat
+// until the registry marks it down. Two idle edges; the home edge misses
+// exactly one heartbeat, fewer than the registry's SuspectAfter. The device
+// must keep its home, and that slot's decision must use the home edge's
+// last good view rather than fall back to device-only.
+func TestHomeEdgeSurvivesOneMissedHeartbeat(t *testing.T) {
+	addrs := make([]string, 2)
+	for i := range addrs {
+		addrs[i] = startFederatedEdge(t, EdgeConfig{
+			Addr: "127.0.0.1:0", FLOPS: 6e10, Model: testModel(), TimeScale: testScale,
+		}).Addr()
+	}
+	RegisterMessages()
+	cfg := testDeviceConfig("", "miss-home")
+	cfg.EdgeAddrs = addrs
+	d := &deviceRun{cfg: cfg, tel: newDeviceTelemetry(cfg.ID, nil, nil), rateEstimate: cfg.ArrivalMean}
+	me, err := startMultiEdge(d)
+	if err != nil {
+		t.Fatalf("startMultiEdge: %v", err)
+	}
+	defer me.close()
+	home := int(me.cur.Load())
+	// A share the edges never report: a decision that used it instead of
+	// the home edge's view would not match the expected ratio below.
+	d.setShare(1)
+
+	// Script the registry's probe: real heartbeats, except that the home
+	// edge's second one fails as a probe that outlived its budget does.
+	const missAt = 2
+	homeProbes := 0
+	me.reg = fleet.New(fleet.Config{}, func(ctx context.Context, addr string) (fleet.Health, error) {
+		if addr == addrs[home] {
+			homeProbes++
+			if homeProbes == missAt {
+				expired, cancel := context.WithCancel(ctx)
+				cancel()
+				return me.probe(expired, addr)
+			}
+		}
+		return me.probe(ctx, addr)
+	})
+	for _, addr := range addrs {
+		me.reg.Join(addr)
+	}
+
+	ctrl, err := offload.NewController(offload.Config{Model: cfg.Model, TauSec: cfg.TauSec, V: cfg.V})
+	if err != nil {
+		t.Fatalf("NewController: %v", err)
+	}
+	policy := offload.Lyapunov()
+	dev := offload.Device{FLOPS: cfg.FLOPS, BandwidthBps: cfg.Uplink.BandwidthBps,
+		LatencySec: cfg.Uplink.Latency.Seconds(), ArrivalMean: cfg.ArrivalMean}
+	const arrivals = 5
+	for slot := 1; slot <= missAt+1; slot++ {
+		x := me.step(ctrl, policy, dev, arrivals, 0)
+		if d.stats.Migrations != 0 || int(me.cur.Load()) != home {
+			t.Fatalf("slot %d: one missed heartbeat moved the device: %d migrations, home %d -> %d",
+				slot, d.stats.Migrations, home, me.cur.Load())
+		}
+		m, _ := me.reg.Member(addrs[home])
+		if slot == missAt && m.Misses != 1 {
+			t.Fatalf("slot %d: home edge has %d misses, want exactly 1", slot, m.Misses)
+		}
+		if m.Health.ShareFLOPS <= 0 {
+			t.Fatalf("slot %d: home edge's last good view carries no share", slot)
+		}
+		want := policy.Decide(ctrl, dev, offload.Slot{
+			Arrivals:       arrivals,
+			State:          offload.State{H: float64(m.Health.PendingFirstBlock)},
+			EdgeShareFLOPS: m.Health.ShareFLOPS,
+		})
+		if want <= 0 || x != want {
+			t.Errorf("slot %d: decided x=%v, want %v from the home edge's last good view", slot, x, want)
+		}
+	}
+}
+
+// TestSingleEdgeHeartbeatsOncePerSlot pins the traffic shape of a one-edge
+// device: a single registering QueueStatReq, then exactly one heartbeat per
+// decision epoch, sent at the slot boundary. A heartbeat poller running off
+// the slot boundary would add rounds here and contend with task uploads on
+// the shaped link. Nothing the device started may outlive RunDevice.
+func TestSingleEdgeHeartbeatsOncePerSlot(t *testing.T) {
+	baseline := goruntime.NumGoroutine()
+	reg := telemetry.NewRegistry()
+	edge, err := StartEdge(EdgeConfig{
+		Addr: "127.0.0.1:0", FLOPS: 6e10, Model: testModel(), TimeScale: testScale, Metrics: reg,
+	})
+	if err != nil {
+		t.Fatalf("StartEdge: %v", err)
+	}
+	cfg := testDeviceConfig(edge.Addr(), "one-edge")
+	cfg.Slots, cfg.WarmupSlots = 12, 2
+	stats, err := RunDevice(cfg)
+	if err != nil {
+		t.Fatalf("RunDevice: %v", err)
+	}
+	if err := edge.Close(); err != nil {
+		t.Fatalf("edge Close: %v", err)
+	}
+	if stats.Errors != 0 || stats.Completed != stats.Generated || stats.Migrations != 0 {
+		t.Errorf("stats: %d errors, %d/%d completed, %d migrations", stats.Errors, stats.Completed, stats.Generated, stats.Migrations)
+	}
+	requests := func(typ string) float64 {
+		for _, s := range reg.Samples() {
+			if s.Name == "leime_edge_requests_total" && s.Labels == `{type="`+typ+`"}` {
+				return s.Value
+			}
+		}
+		return 0
+	}
+	if got := requests("heartbeat"); got != float64(cfg.Slots) {
+		t.Errorf("edge served %v heartbeats over %d slots, want one per slot", got, cfg.Slots)
+	}
+	if got := requests("queue_stat"); got != 1 {
+		t.Errorf("edge served %v queue-stat requests, want 1 (the registering connect)", got)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for goruntime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines outlive the run (baseline %d):\n%s",
+				goruntime.NumGoroutine(), baseline, buf[:goruntime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }

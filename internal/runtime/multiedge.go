@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"leime/internal/fleet"
 	"leime/internal/netem"
@@ -14,19 +12,21 @@ import (
 	"leime/internal/rpc"
 )
 
-// Device-side edge federation. The device dials every edge in
-// DeviceConfig.EdgeAddrs, heartbeats them through a fleet registry, and each
-// decision epoch folds their advertised backlog and capacity into the
-// Lyapunov drift term (offload.SelectEdge). When another edge's
-// drift-plus-penalty objective beats the current one by more than the
-// hysteresis margin (offload.Hysteresis), the device migrates: an explicit
-// registration at the target (re-solving its KKT allocation), then a
-// best-effort unregistration at the origin. Tasks always go to the edge that was current when they
-// launched; in-flight work survives migrations by degrading locally at
-// worst.
+// The device's edge fleet. Every non-pipelined device runs this one control
+// loop over DeviceConfig.EdgeAddrs; a single edge is a fleet of one. At each
+// slot boundary the device heartbeats every edge through a fleet registry
+// (one synchronous round, before the slot's tasks launch) and folds their
+// advertised backlog and capacity into the Lyapunov drift term
+// (offload.SelectEdge). When another edge's drift-plus-penalty objective
+// beats the current one by more than the hysteresis margin
+// (offload.Hysteresis), the device migrates: an explicit registration at
+// the target (re-solving its KKT allocation), then a best-effort
+// unregistration at the origin. Tasks always go to the edge that was current
+// when they launched; in-flight work survives migrations by degrading
+// locally at worst.
 
-// multiEdge is the device's federation state: one reliable client and one
-// cached heartbeat view per configured edge.
+// multiEdge is the device's fleet state: one reliable client per configured
+// edge and the registry that holds each edge's last good heartbeat.
 type multiEdge struct {
 	d       *deviceRun
 	addrs   []string
@@ -34,29 +34,19 @@ type multiEdge struct {
 	clients []*rpc.ReliableClient
 	reg     *fleet.Registry
 	cur     atomic.Int32 // index of the device's current (home) edge
-
-	mu    sync.Mutex
-	views []HeartbeatResp // last heartbeat per edge
-	fresh []bool          // views[i] valid (heartbeat succeeded at least once, latest did)
-
-	stop context.CancelFunc
-	wg   sync.WaitGroup
 }
 
-// startMultiEdge dials the edge fleet, registers the device at its initial
-// home (a stable hash of the ID spreads devices across edges), warms the
-// health views and starts the background heartbeat poller.
+// startMultiEdge dials the edge fleet and registers the device at its
+// initial home (a stable hash of the ID spreads devices across edges).
 func startMultiEdge(d *deviceRun) (*multiEdge, error) {
 	cfg := d.cfg
 	me := &multiEdge{
 		d:     d,
 		addrs: append([]string(nil), cfg.EdgeAddrs...),
 		index: make(map[string]int, len(cfg.EdgeAddrs)),
-		views: make([]HeartbeatResp, len(cfg.EdgeAddrs)),
-		fresh: make([]bool, len(cfg.EdgeAddrs)),
 	}
 	for i, addr := range me.addrs {
-		shaper, err := netem.NewShaper(scaleLink(cfg.Uplink, cfg.TimeScale), cfg.Seed^0xde^(int64(i+1)<<20))
+		shaper, err := netem.NewShaper(scaleLink(cfg.Uplink, cfg.TimeScale), cfg.Seed^0xde^(int64(i)<<20))
 		if err != nil {
 			me.close()
 			return nil, err
@@ -65,10 +55,12 @@ func startMultiEdge(d *deviceRun) (*multiEdge, error) {
 		me.clients = append(me.clients, rpc.DialReliable(addr, shaper, rpc.ReliableOptions{
 			Retry:   cfg.Retry,
 			Breaker: cfg.Breaker,
-			// Re-register on (re)connection — but only at the device's
-			// current home. Heartbeats reach every edge in the fleet, and a
-			// bare probe must not create a tenancy (and a KKT share) at an
-			// edge the device does not use.
+			// Re-establish the session on every (re)connection to the home
+			// edge: a restarted edge has no tenant state, so the device
+			// re-registers with its live rate estimate and adopts the fresh
+			// share before any other call proceeds. Heartbeats reach every
+			// edge in the fleet, and a bare probe must not create a tenancy
+			// (and a KKT share) at an edge the device does not use.
 			OnConnect: func(ctx context.Context, c *rpc.Client) error {
 				if int(me.cur.Load()) != i {
 					return nil
@@ -84,27 +76,19 @@ func startMultiEdge(d *deviceRun) (*multiEdge, error) {
 			},
 			OnRetry:         d.onRetry,
 			OnBreakerChange: d.onBreakerChange,
-			Seed:            cfg.Seed ^ 0x9e77 ^ (int64(i+1) << 16),
+			Seed:            cfg.Seed ^ 0x9e77 ^ (int64(i) << 16),
 		}))
 		me.index[addr] = i
 	}
-
-	fcfg := cfg.Fleet
-	if fcfg.Every <= 0 {
-		// Default the heartbeat cadence to the decision epoch: selection
-		// reads views at slot boundaries, so polling faster buys nothing.
-		fcfg.Every = cfg.TimeScale.Seconds(cfg.TauSec)
-		if fcfg.Every < 10*time.Millisecond {
-			fcfg.Every = 10 * time.Millisecond
-		}
-	}
-	me.reg = fleet.New(fcfg, me.probe)
+	me.reg = fleet.New(fleet.Config{}, me.probe)
 	for _, addr := range me.addrs {
 		me.reg.Join(addr)
 	}
 
 	// Pick the initial home: hash order, rotating past dead edges. The
-	// first successful call registers via OnConnect.
+	// first successful call registers via OnConnect; an edge that is down
+	// or rejects the registration moves on to the next, and a fleet with
+	// none left fails the run up front.
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(cfg.ID))
 	start := int(h.Sum32() % uint32(len(me.addrs)))
@@ -130,85 +114,59 @@ func startMultiEdge(d *deviceRun) (*multiEdge, error) {
 	}
 	d.clientP.Store(me.clients[me.cur.Load()])
 	d.tel.curEdge.Set(float64(me.cur.Load()))
-
-	// Warm every view synchronously so the first decision epoch selects
-	// over real health, then keep polling in the background.
-	pctx, pcancel := context.WithTimeout(context.Background(), rpc.DialTimeout)
-	me.reg.Poll(pctx)
-	pcancel()
-	ctx, cancel := context.WithCancel(context.Background())
-	me.stop = cancel
-	me.wg.Add(1)
-	go func() {
-		defer me.wg.Done()
-		me.reg.Run(ctx)
-	}()
 	return me, nil
 }
 
 // probe is the registry's heartbeat: one identified HeartbeatReq per edge,
-// caching the reply for the selection step.
+// so the reply carries this device's tenancy view alongside the edge-wide
+// health.
 func (me *multiEdge) probe(ctx context.Context, addr string) (fleet.Health, error) {
 	i, ok := me.index[addr]
 	if !ok {
 		return fleet.Health{}, fmt.Errorf("runtime: unknown fleet member %q", addr)
 	}
-	got, err := me.clients[i].Call(ctx, HeartbeatReq{DeviceID: me.d.cfg.ID})
-	if err != nil {
-		me.mu.Lock()
-		me.fresh[i] = false
-		me.mu.Unlock()
-		return fleet.Health{}, err
-	}
-	h, ok := got.(HeartbeatResp)
-	if !ok {
-		return fleet.Health{}, fmt.Errorf("runtime: unexpected heartbeat reply %T", got)
-	}
-	me.mu.Lock()
-	me.views[i] = h
-	me.fresh[i] = true
-	me.mu.Unlock()
-	return fleet.Health{Ready: h.Ready, FLOPS: h.FLOPS, Tenants: h.Tenants,
-		BacklogSec: h.BacklogSec, Saturated: h.Saturated}, nil
+	return heartbeat(ctx, me.clients[i], me.d.cfg.ID)
 }
 
-// step runs one decision epoch in federation mode: build the candidate edge
-// states from cached heartbeats, select the drift-minimizing edge, migrate
-// if the improvement clears the hysteresis margin, and return the
-// offloading ratio against the chosen edge. No live candidate means
-// device-only (x = 0), the same degradation as a tripped breaker.
+// step runs one decision epoch: heartbeat every edge once, build the
+// candidate edge states, select the drift-minimizing edge, migrate if the
+// improvement clears the hysteresis margin, and return the offloading ratio
+// against the chosen edge.
+//
+// A candidate has answered at least one heartbeat, is not down and has a
+// closed breaker; it is judged on its last good heartbeat, so one slow probe
+// (fewer misses than the registry's SuspectAfter) does not evict the home
+// edge. While the breaker is half-open the heartbeat doubles as its recovery
+// probe. No candidate means device-only (x = 0).
 func (me *multiEdge) step(ctrl *offload.Controller, policy offload.Policy, dev offload.Device, arrivals, localQ float64) float64 {
-	cur := int(me.cur.Load())
-	me.mu.Lock()
-	views := append([]HeartbeatResp(nil), me.views...)
-	fresh := append([]bool(nil), me.fresh...)
-	me.mu.Unlock()
+	ctx, cancel := me.d.controlCtx()
+	me.reg.Poll(ctx)
+	cancel()
 
+	cur := int(me.cur.Load())
 	var cands []int
 	var states []offload.EdgeState
-	for i := range me.addrs {
-		if !fresh[i] {
-			continue
-		}
-		if m, ok := me.reg.Member(me.addrs[i]); !ok || m.State == fleet.StateDown {
+	for i, addr := range me.addrs {
+		m, ok := me.reg.Member(addr)
+		if !ok || m.Beats == 0 || m.State == fleet.StateDown {
 			continue
 		}
 		if me.clients[i].Breaker().State() != rpc.BreakerClosed {
 			continue
 		}
-		st := offload.EdgeState{QueueSec: views[i].BacklogSec}
+		st := offload.EdgeState{QueueSec: m.Health.BacklogSec}
 		if i == cur {
 			// Resident view: the edge reports this tenant's solved share
 			// and first-block backlog directly.
-			st.ShareFLOPS = views[i].ShareFLOPS
+			st.ShareFLOPS = m.Health.ShareFLOPS
 			if st.ShareFLOPS <= 0 {
 				st.ShareFLOPS = me.d.share()
 			}
-			st.Backlog = float64(views[i].PendingFirstBlock)
+			st.Backlog = float64(m.Health.PendingFirstBlock)
 		} else {
 			// Non-resident estimate: joining adds one tenant to the KKT
 			// allocation, so roughly an equal split with one more head.
-			st.ShareFLOPS = views[i].FLOPS / float64(views[i].Tenants+1)
+			st.ShareFLOPS = m.Health.FLOPS / float64(m.Health.Tenants+1)
 		}
 		cands = append(cands, i)
 		states = append(states, st)
@@ -274,12 +232,8 @@ func (me *multiEdge) migrate(from, to int) bool {
 	return true
 }
 
-// close stops the heartbeat poller and closes every edge client.
+// close closes every edge client.
 func (me *multiEdge) close() {
-	if me.stop != nil {
-		me.stop()
-		me.wg.Wait()
-	}
 	for _, c := range me.clients {
 		_ = c.Close()
 	}

@@ -32,16 +32,7 @@ func (e *Edge) startPeers() {
 		if !ok {
 			return fleet.Health{}, fmt.Errorf("edge: unknown peer %q", addr)
 		}
-		got, err := c.Call(ctx, HeartbeatReq{})
-		if err != nil {
-			return fleet.Health{}, err
-		}
-		h, ok := got.(HeartbeatResp)
-		if !ok {
-			return fleet.Health{}, fmt.Errorf("edge: unexpected heartbeat reply %T", got)
-		}
-		return fleet.Health{Ready: h.Ready, FLOPS: h.FLOPS, Tenants: h.Tenants,
-			BacklogSec: h.BacklogSec, Saturated: h.Saturated}, nil
+		return heartbeat(ctx, c, "")
 	})
 	for _, addr := range e.cfg.Peers {
 		e.peers.Join(addr)
@@ -57,6 +48,22 @@ func (e *Edge) startPeers() {
 		defer e.peerWG.Done()
 		e.peers.Run(ctx)
 	}()
+}
+
+// heartbeat sends one HeartbeatReq over c and returns the reply as fleet
+// health. A device names itself so the reply carries its tenancy view; a
+// peer edge probes anonymously.
+func heartbeat(ctx context.Context, c *rpc.ReliableClient, deviceID string) (fleet.Health, error) {
+	got, err := c.Call(ctx, HeartbeatReq{DeviceID: deviceID})
+	if err != nil {
+		return fleet.Health{}, err
+	}
+	h, ok := got.(HeartbeatResp)
+	if !ok {
+		return fleet.Health{}, fmt.Errorf("runtime: unexpected heartbeat reply %T", got)
+	}
+	return fleet.Health{Ready: h.Ready, FLOPS: h.FLOPS, Tenants: h.Tenants, BacklogSec: h.BacklogSec,
+		Saturated: h.Saturated, PendingFirstBlock: h.PendingFirstBlock, ShareFLOPS: h.ShareFLOPS}, nil
 }
 
 // Ready reports whether the edge's KKT allocation is warm: it has at least
@@ -203,15 +210,5 @@ func (e *Edge) handleSteal(ctx context.Context, meta rpc.Meta, req StealReq) (an
 	if req.ExitStage <= 1 {
 		return TaskResp{TaskID: req.TaskID, ExitStage: 1}, nil
 	}
-	wait, service, err = e.stealExec.DoTimedCtx(ctx, model.Mu[1])
-	if err != nil {
-		return nil, e.execErr(err)
-	}
-	e.tel.queueWait.Observe(wait.Seconds())
-	e.tel.block2.Observe(service.Seconds())
-	recordTimedSpans(e.tel.tracer, metaContext(meta), "edge.queue", "edge.block2", req.DeviceID, req.TaskID, wait, service)
-	if req.ExitStage <= 2 || e.cloud == nil {
-		return TaskResp{TaskID: req.TaskID, ExitStage: 2}, nil
-	}
-	return e.forwardCloud(ctx, meta, model, req.DeviceID, req.TaskID)
+	return e.continueSecond(ctx, meta, e.stealExec, model, req.DeviceID, req.TaskID, req.ExitStage)
 }
